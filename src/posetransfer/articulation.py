@@ -128,24 +128,32 @@ def hard_assignment(w: np.ndarray) -> np.ndarray:
 
 
 def _kabsch(rest_pts: np.ndarray, posed_pts: np.ndarray, weights: np.ndarray,
-            center: np.ndarray) -> RigidTransform:
-    """Weighted least-squares rigid fit min sum w ||R(p - C) + t - q||^2.
+            centers: np.ndarray, fit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least-squares rigid fits min sum_i w_ki ||R_k (p_i - C_k) + t_k - q_i||^2
+    for the parts flagged in ``fit``; (I, C_k) for the others.
 
-    Weighted cross-covariance + SVD with det-correction.  Rank-deficient
-    point sets fall through the SVD naturally: fully ambiguous axes come
-    out as identity.
+    ``weights`` is (K, N) with positive sums on the fitted rows and
+    ``centers`` (K, 3); returns the (K, 3, 3) rotations and (K, 3)
+    translations.  Centred weighted cross-covariance + SVD with
+    det-correction.  Rank-deficient point sets fall through the SVD
+    naturally: fully ambiguous axes come out as identity.
     """
-    wsum = weights.sum()
-    mu_rest = weights @ rest_pts / wsum
-    mu_posed = weights @ posed_pts / wsum
-    h = (weights[:, None] * (posed_pts - mu_posed)).T @ (rest_pts - mu_rest)
+    r = np.tile(np.eye(3), (centers.shape[0], 1, 1))
+    t = centers.copy()
+    if not fit.any():
+        return r, t
+    w = weights[fit]
+    wsum = w.sum(axis=1, keepdims=True)
+    mu_rest = w @ rest_pts / wsum
+    mu_posed = w @ posed_pts / wsum
+    weighted = w[:, :, None] * (posed_pts[None] - mu_posed[:, None])
+    h = np.matmul(weighted.transpose(0, 2, 1), rest_pts[None] - mu_rest[:, None])
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(u @ vt))
-    if d == 0.0:
-        d = 1.0
-    r = u @ np.diag([1.0, 1.0, d]) @ vt
-    t = mu_posed - r @ (mu_rest - center)
-    return RigidTransform(rotation=r, translation=t)
+    u[:, :, 2] *= np.where(d == 0.0, 1.0, d)[:, None]
+    r[fit] = u @ vt
+    t[fit] = mu_posed - np.einsum("kij,kj->ki", r[fit], mu_rest - centers[fit])
+    return r, t
 
 
 def estimate_part_transforms(rest: Mesh, posed: Mesh, w: np.ndarray,
@@ -159,14 +167,9 @@ def estimate_part_transforms(rest: Mesh, posed: Mesh, w: np.ndarray,
         raise ArticulationError("rest and posed vertex counts differ")
     if centers is None:
         centers = part_centers(rest, w)
-    out = []
-    for k in range(w.shape[1]):
-        if centers.coverage[k] < COVERAGE_EPS:
-            out.append(RigidTransform.identity(centers.centers[k]))
-        else:
-            out.append(_kabsch(rest.vertices, posed.vertices, w[:, k],
-                               centers.centers[k]))
-    return out
+    r, t = _kabsch(rest.vertices, posed.vertices, w.T, centers.centers,
+                   ~centers.degenerate)
+    return [RigidTransform(rotation=r_k, translation=t_k) for r_k, t_k in zip(r, t)]
 
 
 def hard_part_transforms(rest: Mesh, posed: Mesh, labels: np.ndarray,
@@ -176,16 +179,12 @@ def hard_part_transforms(rest: Mesh, posed: Mesh, labels: np.ndarray,
     Parts with fewer than ``min_vertices`` assigned vertices yield None;
     the transform-regression loss skips them.
     """
-    out: list[RigidTransform | None] = []
-    for k in range(centers.centers.shape[0]):
-        mask = labels == k
-        if mask.sum() < min_vertices:
-            out.append(None)
-            continue
-        ones = np.ones(int(mask.sum()))
-        out.append(_kabsch(rest.vertices[mask], posed.vertices[mask], ones,
-                           centers.centers[k]))
-    return out
+    k = centers.centers.shape[0]
+    members = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
+    kept = members.sum(axis=1) >= min_vertices
+    r, t = _kabsch(rest.vertices, posed.vertices, members, centers.centers, kept)
+    return [RigidTransform(rotation=r_k, translation=t_k) if keep else None
+            for r_k, t_k, keep in zip(r, t, kept)]
 
 
 def save_skinning(w: np.ndarray, path) -> None:

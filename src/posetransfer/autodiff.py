@@ -230,6 +230,30 @@ def matmul(a, b) -> Tensor:
                   (b, lambda g: a.data.T @ g)])
 
 
+def einsum(spec: str, a, b) -> Tensor:
+    """Two-operand ``np.einsum`` with an explicit output, e.g. ``"kij,kjl->kil"``.
+
+    Each operand's gradient is the einsum of the adjoint with the other
+    operand.  That needs every subscript of an operand to appear in the
+    other operand or in the output, and no subscript repeated within one
+    term (no diagonals, no ellipsis).
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    inputs, arrow, out = spec.replace(" ", "").partition("->")
+    sa, _, sb = inputs.partition(",")
+    plain = all(c.isalpha() for c in sa + sb + out) and \
+        all(len(set(t)) == len(t) for t in (sa, sb, out))
+    closed = set(sa) <= set(sb + out) and set(sb) <= set(sa + out) and \
+        set(out) <= set(sa + sb)
+    if not (arrow and plain and closed):
+        raise AutodiffError(f"unsupported einsum spec {spec!r}")
+    if a.data.ndim != len(sa) or b.data.ndim != len(sb):
+        raise AutodiffError(f"einsum {spec!r} got shapes {a.shape}, {b.shape}")
+    return _make(np.einsum(f"{sa},{sb}->{out}", a.data, b.data),
+                 [(a, lambda g: np.einsum(f"{out},{sb}->{sa}", g, b.data)),
+                  (b, lambda g: np.einsum(f"{sa},{out}->{sb}", a.data, g))])
+
+
 def sparse_matmul(a: sp.spmatrix, x) -> Tensor:
     """Left-multiply by a fixed sparse operator (the mesh graph operator)."""
     x = as_tensor(x)
@@ -265,12 +289,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def index(a, key) -> Tensor:
+    """``a[key]``.  Only integer-array keys can pick an element twice, so
+    only they need the scatter-add backward; other keys assign."""
     a = as_tensor(a)
     shape = a.shape
+    keys = key if isinstance(key, tuple) else (key,)
+    repeats = any(isinstance(k, (np.ndarray, list)) for k in keys)
 
     def fn(g):
         out = np.zeros(shape)
-        np.add.at(out, key, g)
+        if repeats:
+            np.add.at(out, key, g)
+        else:
+            out[key] = g
         return out
 
     return _make(a.data[key], [(a, fn)])

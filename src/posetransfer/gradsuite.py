@@ -12,13 +12,12 @@ import numpy as np
 from . import autodiff as ad
 from .articulation import PartCenters, estimate_part_transforms
 from .losses import loss_cycle, loss_edge, loss_rec, loss_skin, loss_trans
-from .mesh import edge_set, graph_operator, vertex_features
+from .mesh import edge_set, graph_operator
 from .networks import (
     PipelineConfig,
     attend,
     centers_tensor,
     char_context,
-    decode_transforms,
     encode,
     init_params,
     lbs_tensor,
@@ -123,6 +122,15 @@ def _op_checks(seed: int):
     checks.append(("cross-rows", x,
                    lambda t, c=other2: ad.mean(ad.cross_rows(t, ad.constant(c)) * t)))
 
+    x = _t(rng, (4, 3, 2))
+    batch_rhs = rng.normal(size=(4, 2, 5))
+    checks.append(("einsum/left", x,
+                   lambda t: ad.mean(ad.einsum("kij,kjl->kil", t, ad.constant(batch_rhs)))))
+    x = _t(rng, (4, 2, 5))
+    batch_lhs = rng.normal(size=(4, 3, 2))
+    checks.append(("einsum/right", x,
+                   lambda t: ad.mean(ad.einsum("kij,kjl->kil", ad.constant(batch_lhs), t))))
+
     return checks
 
 
@@ -163,26 +171,18 @@ def _network_checks(seed: int):
                        params.encoder) * ad.constant(coeff2))))
 
     raw = _t(rng, (4, 6), lo=-0.5, hi=0.5)
-    rot_coeff = [rng.normal(size=(3, 3)) for _ in range(4)]
-
-    def rot_scalar(t):
-        out = None
-        for r, c in zip(rotations_from_6d(t), rot_coeff):
-            term = ad.sum_(r * ad.constant(c))
-            out = term if out is None else out + term
-        return out * (1.0 / 12.0)
-
-    checks.append(("net/rotations-6d", raw, rot_scalar))
+    rot_coeff = rng.normal(size=(4, 3, 3))
+    checks.append(("net/rotations-6d", raw,
+                   lambda t: ad.sum_(rotations_from_6d(t) * ad.constant(rot_coeff))
+                   * (1.0 / 12.0)))
 
     w_logits = _t(rng, (n, config.k_parts))
     verts = ctx.norm_vertices
-    rot_fixed = rotations_from_6d(ad.constant(rng.uniform(-0.4, 0.4, size=(4, 6))))
-    rot_fixed = [ad.constant(r.data) for r in rot_fixed]
-    # pad to k_parts rotations
-    while len(rot_fixed) < config.k_parts:
-        rot_fixed.append(ad.constant(np.eye(3)))
-    trans_fixed = [ad.constant(rng.normal(0, 0.2, size=(1, 3)))
-                   for _ in range(config.k_parts)]
+    rot_fixed = np.tile(np.eye(3), (config.k_parts, 1, 1))
+    rot_fixed[:4] = rotations_from_6d(
+        ad.constant(rng.uniform(-0.4, 0.4, size=(4, 6)))).data
+    rot_fixed = ad.constant(rot_fixed)
+    trans_fixed = ad.constant(rng.normal(0, 0.2, size=(config.k_parts, 3)))
 
     def lbs_scalar(t):
         w = ad.softmax_rows(t)

@@ -19,6 +19,7 @@ from .networks import (
     PoseTransferParams,
     TransferGraph,
     _renormalized,
+    lbs_tensor,
     transfer_pose_graph,
 )
 
@@ -151,28 +152,28 @@ def loss_cycle(params: PoseTransferParams, source_posed_norm: np.ndarray,
     """Source -> target -> source round trip plus pseudo-ground truth.
 
     All geometry lives in the normalized per-character frames.  The
-    backward pass reuses the forward pass's predicted skinnings; its
-    analytic transforms are recomputed from the (detached) predicted
-    target and enter the graph as constants unless ``t_backward`` pins
-    them (gradient checking does, so both stop-gradients stay fixed).
+    backward pass reuses the forward pass's predicted skinnings and rest
+    part latents; its analytic transforms are recomputed from the
+    (detached) predicted target and enter the graph as constants unless
+    ``t_backward`` pins them (gradient checking does, so both
+    stop-gradients stay fixed).
     """
     fwd = transfer_pose_graph(source_posed_norm, source, target, params,
                               t_source=t_source)
     bwd = transfer_pose_graph(fwd.deformed, target, source, params,
                               t_source=t_backward,
-                              w_source=fwd.w_target, w_target=fwd.w_source)
+                              w_source=fwd.w_target, w_target=fwd.w_source,
+                              z_rest=fwd.z_target, z_target=fwd.z_rest)
     cycle_term = loss_rec(bwd.deformed, ad.constant(source_posed_norm))
-    from .networks import lbs_tensor  # local import to avoid cycle at module load
 
     pseudo = None
     pseudo_term = ad.Tensor(0.0)
     if use_pseudo:
-        rot_const = [ad.constant(tf.rotation) for tf in fwd.t_source]
-        tr_const = [ad.constant(tf.translation[None, :]) for tf in fwd.t_source]
-        pseudo_t = lbs_tensor(target.norm_vertices, ad.constant(fwd.w_target.data),
-                              rot_const, tr_const,
-                              ad.constant(fwd.target_centers.data))
-        pseudo = pseudo_t.data
+        r_src = np.stack([tf.rotation for tf in fwd.t_source])
+        t_src = np.stack([tf.translation for tf in fwd.t_source])
+        pseudo = lbs_tensor(target.norm_vertices, ad.constant(fwd.w_target.data),
+                            ad.constant(r_src), ad.constant(t_src),
+                            ad.constant(fwd.target_centers.data)).data
         pseudo_term = loss_rec(fwd.deformed, ad.constant(pseudo))
     total = cycle_term + w_pseudo * pseudo_term if use_pseudo else cycle_term
     return CycleResult(total=total, cycle_term=cycle_term, pseudo_term=pseudo_term,

@@ -20,17 +20,15 @@ with respect to gradients: transforms enter the graph as fixed inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .articulation import (
     COVERAGE_EPS,
-    PartCenters,
     RigidTransform,
     estimate_part_transforms,
-    part_centers,
 )
 from .mesh import (
     GraphOperator,
@@ -213,8 +211,8 @@ def attend(w, y, params: EncoderParams) -> ad.Tensor:
     return pooled @ params.conv_w + params.conv_b
 
 
-def rotations_from_6d(raw: ad.Tensor) -> list:
-    """(K, 6) -> K rotation matrices via Gram-Schmidt of two 3-vectors.
+def rotations_from_6d(raw: ad.Tensor) -> ad.Tensor:
+    """(K, 6) -> (K, 3, 3) rotations via Gram-Schmidt of two 3-vectors.
 
     The identity bias is added first, so zero input gives the identity.
     Columns of each rotation are the two orthonormalized vectors and
@@ -228,37 +226,31 @@ def rotations_from_6d(raw: ad.Tensor) -> list:
     b2 = u / ad.norm_rows(u, 1e-12)
     b3 = ad.cross_rows(b1, b2)
     k = raw.shape[0]
-    rotations = []
-    for i in range(k):
-        cols = ad.concat([b1[i:i + 1, :], b2[i:i + 1, :], b3[i:i + 1, :]], axis=0)
-        rotations.append(ad.transpose(cols))
-    return rotations
+    return ad.concat([col.reshape(k, 3, 1) for col in (b1, b2, b3)], axis=2)
 
 
 def decode_transforms(z_target, z_pose_delta, t_source: list[RigidTransform],
-                      params: DecoderParams, leak: float = 0.2):
+                      params: DecoderParams,
+                      leak: float = 0.2) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
     """Predict target part transforms as residuals on the source transforms.
 
-    Returns (rotations, translations, flat) where rotations/translations
-    are per-part tensors and flat is the (K, 12) flattened prediction
-    used by the transformation-regression loss.
+    Returns (rotations, translations, flat): the (K, 3, 3) rotations, the
+    (K, 3) translations, and the (K, 12) row-major flattening of both
+    that the transformation-regression loss uses.
     """
-    t_flat = ad.constant(np.stack([tf.flat() for tf in t_source]))
-    h = ad.concat([ad.as_tensor(z_target), ad.as_tensor(z_pose_delta), t_flat], axis=1)
+    t_src = np.stack([tf.flat() for tf in t_source])
+    k = t_src.shape[0]
+    h = ad.concat([ad.as_tensor(z_target), ad.as_tensor(z_pose_delta),
+                   ad.constant(t_src)], axis=1)
     for i, (w, b) in enumerate(params.layers):
         h = h @ w + b
         if i < len(params.layers) - 1:
             h = ad.leaky_relu(h, alpha=leak)
-    res_rotations = rotations_from_6d(h[:, 0:6])
-    res_translation = h[:, 6:9]
-    rotations, translations, flat_rows = [], [], []
-    for k, tf in enumerate(t_source):
-        r = res_rotations[k] @ ad.constant(tf.rotation)
-        t = res_translation[k:k + 1, :] + ad.constant(tf.translation[None, :])
-        rotations.append(r)
-        translations.append(t)
-        flat_rows.append(ad.concat([r.reshape(1, 9), t], axis=1))
-    return rotations, translations, ad.concat(flat_rows, axis=0)
+    rotations = ad.einsum("kij,kjl->kil", rotations_from_6d(h[:, 0:6]),
+                          ad.constant(t_src[:, :9].reshape(k, 3, 3)))
+    translations = h[:, 6:9] + ad.constant(t_src[:, 9:])
+    flat = ad.concat([rotations.reshape(k, 9), translations], axis=1)
+    return rotations, translations, flat
 
 
 def centers_tensor(w: ad.Tensor, vertices) -> ad.Tensor:
@@ -269,16 +261,17 @@ def centers_tensor(w: ad.Tensor, vertices) -> ad.Tensor:
     return num / ad.clip(cov, COVERAGE_EPS, np.inf)
 
 
-def lbs_tensor(vertices, w: ad.Tensor, rotations, translations,
+def lbs_tensor(vertices, w: ad.Tensor, rotations: ad.Tensor, translations: ad.Tensor,
                centers: ad.Tensor) -> ad.Tensor:
-    """Differentiable LBS over K per-part rigid transforms."""
-    v = ad.as_tensor(vertices)
-    out = None
-    for k in range(w.shape[1]):
-        local = (v - centers[k:k + 1, :]) @ ad.transpose(rotations[k]) + translations[k]
-        term = w[:, k:k + 1] * local
-        out = term if out is None else out + term
-    return out
+    """Differentiable LBS: V_i = sum_k w_ik [R_k (Vbar_i - C_k) + t_k].
+
+    ``vertices`` (N, 3), ``w`` (N, K), ``rotations`` (K, 3, 3),
+    ``translations`` and ``centers`` (K, 3).  Evaluated as the blended
+    rotation sum_k w_ik R_k applied to Vbar_i plus sum_k w_ik (t_k - R_k C_k).
+    """
+    blended = ad.einsum("nk,kij->nij", w, rotations)
+    offsets = translations - ad.einsum("kij,kj->ki", rotations, centers)
+    return ad.einsum("nij,nj->ni", blended, vertices) + ad.matmul(w, offsets)
 
 
 def vertex_features_tensor(v: ad.Tensor, faces: np.ndarray) -> ad.Tensor:
@@ -326,26 +319,34 @@ class TransferGraph:
     """All live tensors of one source-to-target transfer (normalized frame)."""
 
     deformed: ad.Tensor  # (N_t, 3), target frame
-    w_source: ad.Tensor
-    w_target: ad.Tensor
+    w_source: ad.Tensor  # (N_s, K)
+    w_target: ad.Tensor  # (N_t, K)
+    z_rest: ad.Tensor  # (K, C) part latents of the source at rest
+    z_target: ad.Tensor  # (K, C) part latents of the target at rest
     t_source: list[RigidTransform]
-    rotations: list
-    translations: list
+    rotations: ad.Tensor  # (K, 3, 3)
+    translations: ad.Tensor  # (K, 3)
     t_flat: ad.Tensor  # (K, 12)
-    target_centers: ad.Tensor
+    target_centers: ad.Tensor  # (K, 3)
 
 
 def transfer_pose_graph(posed_source_vertices, source: CharContext, target: CharContext,
                         params: PoseTransferParams,
                         t_source: list[RigidTransform] | None = None,
                         w_source: ad.Tensor | None = None,
-                        w_target: ad.Tensor | None = None) -> TransferGraph:
+                        w_target: ad.Tensor | None = None,
+                        z_rest: ad.Tensor | None = None,
+                        z_target: ad.Tensor | None = None) -> TransferGraph:
     """Build the differentiable transfer graph.
 
     ``posed_source_vertices`` must already be in the source rest frame;
     it may be a plain array or a live tensor (the cycle pass feeds the
     predicted target back in).  The analytic source transforms enter as
     constants; pass ``t_source`` to pin them (gradient checking does).
+    Skinnings and rest part latents already computed for these
+    characters with these params may be passed in to skip recomputing
+    them; ``z_rest`` must come from ``w_source`` and ``z_target`` from
+    ``w_target``.
     """
     leak = params.config.leak
     if w_source is None:
@@ -361,13 +362,14 @@ def transfer_pose_graph(posed_source_vertices, source: CharContext, target: Char
         posed_feats = ad.constant(
             vertex_features(source.mesh.with_vertices(posed_np)))
 
-    y_rest = encode(source.features, source.graph, params.encoder, leak)
+    if z_rest is None:
+        y_rest = encode(source.features, source.graph, params.encoder, leak)
+        z_rest = attend(w_source, y_rest, params.encoder)
+    if z_target is None:
+        y_target = encode(target.features, target.graph, params.encoder, leak)
+        z_target = attend(w_target, y_target, params.encoder)
     y_posed = encode(posed_feats, source.graph, params.encoder, leak)
-    y_target = encode(target.features, target.graph, params.encoder, leak)
-
-    z_rest = attend(w_source, y_rest, params.encoder)
     z_posed = attend(w_source, y_posed, params.encoder)
-    z_target = attend(w_target, y_target, params.encoder)
 
     if t_source is None:
         rest_mesh = source.mesh.with_vertices(source.norm_vertices)
@@ -382,9 +384,9 @@ def transfer_pose_graph(posed_source_vertices, source: CharContext, target: Char
     deformed = lbs_tensor(target.norm_vertices, w_target, rotations,
                           translations, target_centers)
     return TransferGraph(deformed=deformed, w_source=w_source, w_target=w_target,
-                         t_source=t_source, rotations=rotations,
-                         translations=translations, t_flat=t_flat,
-                         target_centers=target_centers)
+                         z_rest=z_rest, z_target=z_target, t_source=t_source,
+                         rotations=rotations, translations=translations,
+                         t_flat=t_flat, target_centers=target_centers)
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:
@@ -413,10 +415,8 @@ def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
     posed_norm = src.normalize(source_posed.vertices)
     graph = transfer_pose_graph(posed_norm, src, tgt, params, t_source=t_source)
     out_vertices = tgt.denormalize(graph.deformed.data)
-    transforms = [
-        RigidTransform(rotation=r.data, translation=t.data.ravel())
-        for r, t in zip(graph.rotations, graph.translations)
-    ]
+    transforms = [RigidTransform(rotation=r, translation=t)
+                  for r, t in zip(graph.rotations.data, graph.translations.data)]
     return TransferResult(
         mesh=target_rest.with_vertices(out_vertices),
         w_source=_renormalized(graph.w_source.data),

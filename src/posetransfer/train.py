@@ -11,11 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .articulation import PartCenters
 from .evaluation import pmd
 from .losses import (
@@ -362,38 +361,6 @@ def sample_unpaired_batch(dataset: Dataset, rng: np.random.Generator):
     pose = int(rng.integers(len(src.poses)))
     tgt = dataset.static[int(rng.integers(len(dataset.static)))]
     return src, pose, tgt
-
-
-def train_step_paired(batch, params: PoseTransferParams, opt: Adam,
-                      config: TrainConfig, cache: _ContextCache | None = None,
-                      seed: int = 0) -> dict:
-    """One paired batch -> one optimizer update; returns per-loss values."""
-    cache = cache or _ContextCache()
-    src, tgt, pose_idx = batch
-    components, _ = paired_components(src, tgt, pose_idx, cache, params, config, seed)
-    total = total_loss(components, config.loss_weights(), "paired")
-    total.backward()
-    opt.step()
-    params.zero_grads()
-    report = _component_report(components)
-    report["total"] = float(total.data)
-    return report
-
-
-def train_step_unpaired(batch, params: PoseTransferParams, opt: Adam,
-                        config: TrainConfig, cache: _ContextCache | None = None,
-                        seed: int = 0) -> dict:
-    """One static-target batch -> one optimizer update."""
-    cache = cache or _ContextCache()
-    src, pose_idx, tgt = batch
-    components, _ = unpaired_components(src, pose_idx, tgt, cache, params, config, seed)
-    total = total_loss(components, config.loss_weights(), "unpaired")
-    total.backward()
-    opt.step()
-    params.zero_grads()
-    report = _component_report(components)
-    report["total"] = float(total.data)
-    return report
 
 
 def _mode_pattern(dataset: Dataset, config: TrainConfig) -> str:

@@ -3,7 +3,6 @@ import pytest
 
 from posetransfer.articulation import (
     ArticulationError,
-    PartCenters,
     RigidTransform,
     estimate_part_transforms,
     hard_assignment,
@@ -247,6 +246,73 @@ def test_hard_part_transforms_skips_small_parts():
     out = hard_part_transforms(mesh, mesh, labels, pc)
     assert out[1] is None
     assert out[0] is not None
+
+
+def _kabsch_oracle(rest_pts, posed_pts, weights, center):
+    """Scalar weighted Kabsch for one part, the per-part loop formulation."""
+    wsum = weights.sum()
+    mu_rest = weights @ rest_pts / wsum
+    mu_posed = weights @ posed_pts / wsum
+    h = (weights[:, None] * (posed_pts - mu_posed)).T @ (rest_pts - mu_rest)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(u @ vt))
+    if d == 0.0:
+        d = 1.0
+    r = u @ np.diag([1.0, 1.0, d]) @ vt
+    return r, mu_posed - r @ (mu_rest - center), d
+
+
+def _oracle_case(rng):
+    """Five parts on a cloud: part 2 has no weight (degenerate), part 3 is
+    posed as a mirror image, part 4 owns one vertex under argmax."""
+    n, k = 30, 5
+    rest = rng.normal(size=(n, 3))
+    labels = np.arange(n) % 4
+    labels[labels == 2] = 0
+    labels[7] = 4
+    posed = np.empty_like(rest)
+    for part in range(k):
+        mask = labels == part
+        if part == 3:
+            posed[mask] = rest[mask] * np.array([-1.0, 1.0, 1.0])
+        else:
+            posed[mask] = rest[mask] @ random_rotation(rng).T + rng.normal(size=3)
+    w = np.eye(k)[labels] + rng.uniform(0.0, 0.05, size=(n, k))
+    w[:, 2] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    faces = [[i, (i + 1) % n, (i + 2) % n] for i in range(n)]
+    return Mesh(vertices=rest, faces=faces), Mesh(vertices=posed, faces=faces), w, labels
+
+
+def _assert_matches_oracle(tf, r, t):
+    assert np.abs(tf.rotation - r).max() < 1e-9
+    assert np.abs(tf.translation - t).max() < 1e-9
+
+
+def test_estimate_matches_scalar_kabsch_oracle():
+    mesh, posed, w, _ = _oracle_case(np.random.default_rng(15))
+    pc = part_centers(mesh, w)
+    out = estimate_part_transforms(mesh, posed, w)
+    assert pc.degenerate.tolist() == [False, False, True, False, False]
+    _assert_matches_oracle(out[2], np.eye(3), pc.centers[2])
+    for k in (0, 1, 3, 4):
+        r, t, d = _kabsch_oracle(mesh.vertices, posed.vertices, w[:, k], pc.centers[k])
+        _assert_matches_oracle(out[k], r, t)
+        if k == 3:
+            assert d < 0
+
+
+def test_hard_part_transforms_match_scalar_kabsch_oracle():
+    mesh, posed, w, labels = _oracle_case(np.random.default_rng(16))
+    pc = part_centers(mesh, w)
+    out = hard_part_transforms(mesh, posed, labels, pc)
+    assert [tf is None for tf in out] == [False, False, True, False, True]
+    for k in (0, 1, 3):
+        mask = labels == k
+        r, t, d = _kabsch_oracle(mesh.vertices[mask], posed.vertices[mask],
+                                 np.ones(int(mask.sum())), pc.centers[k])
+        _assert_matches_oracle(out[k], r, t)
+        assert (d < 0) == (k == 3)
 
 
 # ---- file formats ------------------------------------------------------

@@ -157,6 +157,19 @@ def test_gather_scatter_grads():
     assert report.passed
 
 
+def test_einsum_matches_numpy_and_rejects_unsupported_specs():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2, 5))
+    out = ad.einsum("kij,kjl->kil", _t(a), _t(b))
+    assert np.abs(out.data - a @ b).max() < 1e-12
+    for spec, x, y in (("ii,ij->ij", (3, 3), (3, 4)),  # repeated subscript
+                       ("ij,jk->i", (3, 4), (4, 5)),  # k summed within b alone
+                       ("...j,jk->...k", (3, 4), (4, 5)),
+                       ("kij,kjl->kil", (3, 2), (4, 2, 5))):  # rank mismatch
+        with pytest.raises(ad.AutodiffError):
+            ad.einsum(spec, _t(np.ones(x)), _t(np.ones(y)))
+
+
 def test_sparse_matmul_grad():
     import scipy.sparse as sp
 
