@@ -98,29 +98,14 @@ def _load_ckpt(path):
 
 def cmd_gen_data(args) -> int:
     from .synth import DatasetConfig, make_dataset, save_dataset
-    from .train import ConfigError
+    from .train import ConfigError, read_config_file
 
     values = {}
     if args.config:
-        defaults = dataclasses.asdict(DatasetConfig())
         try:
-            with open(args.config) as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise CliError(
-                            f"{args.config}:{lineno}: expected 'key = value'", EXIT_USER)
-                    key, _, val = line.partition("=")
-                    key, val = key.strip(), val.strip()
-                    if key not in defaults:
-                        raise CliError(
-                            f"{args.config}:{lineno}: unknown key {key!r}", EXIT_USER)
-                    try:
-                        values[key] = type(defaults[key])(val)
-                    except ValueError as exc:
-                        raise CliError(f"{args.config}:{lineno}: {exc}", EXIT_USER)
+            values = read_config_file(args.config, dataclasses.asdict(DatasetConfig()))
+        except ConfigError as exc:
+            raise CliError(str(exc), EXIT_USER)
         except OSError as exc:
             raise CliError(f"cannot read {args.config}: {exc}", EXIT_IO)
     if args.seed is not None:
@@ -203,10 +188,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .articulation import hard_assignment
     from .evaluation import consistency_scores, pmd, write_report
-    from .mesh import vertex_features
-    from .networks import char_context, pose_transfer, predict_skinning
+    from .networks import char_context, encode_character, transfer_pose_graph
     from .synth import SynthError, load_dataset
 
     params, _, _, _ = _load_ckpt(args.ckpt)
@@ -214,10 +197,16 @@ def cmd_eval(args) -> int:
         dataset = load_dataset(args.data)
     except (OSError, SynthError) as exc:
         raise CliError(f"cannot load dataset: {exc}", EXIT_USER)
+    # each character is encoded once; every (source, target, pose) triple
+    # is one transfer step between two encodings
+    splits = [(split, chars, [encode_character(char_context(ch.rest), params).detached()
+                              for ch in chars])
+              for split, chars in (("held", dataset.held), ("paired", dataset.paired))
+              if len(chars) >= 2]
 
     rows = []
-    for split, chars in (("held", dataset.held), ("paired", dataset.paired)):
-        if len(chars) < 2 or not chars[0].poses:
+    for split, chars, encs in splits:
+        if not chars[0].poses:
             continue
         values = []
         for si, src in enumerate(chars):
@@ -225,21 +214,17 @@ def cmd_eval(args) -> int:
                 if si == ti:
                     continue
                 for p, (_, posed) in enumerate(src.poses):
-                    result = pose_transfer(posed, src.rest, tgt.rest, params)
-                    values.append(pmd(result.mesh, tgt.poses[p][1].vertices))
+                    graph = transfer_pose_graph(encs[si].ctx.normalize(posed.vertices),
+                                                encs[si], encs[ti], params)
+                    values.append(pmd(encs[ti].ctx.denormalize(graph.deformed.data),
+                                      tgt.poses[p][1].vertices))
         rows.append(("pmd", split, float(np.mean(values))))
 
-    eval_chars = dataset.held if len(dataset.held) >= 2 else dataset.paired
-    if len(eval_chars) >= 2:
-        pred_labels, gt_labels = [], []
-        for ch in eval_chars:
-            ctx = char_context(ch.rest)
-            w = predict_skinning(ctx.features, ctx.graph, params.skinning,
-                                 params.config.leak)
-            pred_labels.append(np.argmax(w.data, axis=1))
-            gt_labels.append(np.array(ch.part_names)[np.argmax(ch.gt_skinning, axis=1)])
-        report = consistency_scores(pred_labels, gt_labels)
-        split = "held" if len(dataset.held) >= 2 else "paired"
+    if splits:  # consistency on the held-out split when it has two characters
+        split, chars, encs = splits[0]
+        report = consistency_scores(
+            [np.argmax(enc.w.data, axis=1) for enc in encs],
+            [np.array(ch.part_names)[np.argmax(ch.gt_skinning, axis=1)] for ch in chars])
         rows.append(("consistency_pred_to_gt", split, report.pred_to_gt))
         rows.append(("consistency_gt_to_pred", split, report.gt_to_pred))
 
@@ -269,7 +254,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_skinning(args) -> int:
-    from .articulation import hard_assignment
     from .evaluation import save_part_colored_obj
     from .networks import char_context, predict_skinning
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .articulation import PartCenters, estimate_part_transforms
+from .articulation import PartCenters
 from .losses import loss_cycle, loss_edge, loss_rec, loss_skin, loss_trans
 from .mesh import edge_set, graph_operator
 from .networks import (
@@ -19,10 +19,12 @@ from .networks import (
     centers_tensor,
     char_context,
     encode,
+    encode_character,
     init_params,
     lbs_tensor,
     predict_skinning,
     rotations_from_6d,
+    source_transforms,
     transfer_pose_graph,
     vertex_features_tensor,
 )
@@ -259,36 +261,30 @@ def _pipeline_checks(seed: int, max_coords: int):
     edges = edge_set(tgt_char.rest)
     tgt_rest_norm = tgt.mesh.with_vertices(tgt.norm_vertices)
 
-    w_src = predict_skinning(src.features, src.graph, params.skinning).data
-    t_source = estimate_part_transforms(
-        src.mesh.with_vertices(src.norm_vertices),
-        src.mesh.with_vertices(posed_norm),
-        w_src / w_src.sum(axis=1, keepdims=True))
+    src_enc, tgt_enc = encode_character(src, params), encode_character(tgt, params)
+    t_source = source_transforms(src_enc, posed_norm)
+    base_fwd = transfer_pose_graph(posed_norm, src_enc, tgt_enc, params, t_source)
+    t_backward = source_transforms(tgt_enc, base_fwd.deformed.data)
 
+    # the objectives encode afresh: each probe perturbs the params
     def paired_objective(_):
-        graph = transfer_pose_graph(posed_norm, src, tgt, params,
-                                    t_source=t_source)
+        tgt_enc = encode_character(tgt, params)
+        graph = transfer_pose_graph(posed_norm, encode_character(src, params), tgt_enc,
+                                    params, t_source)
         total = loss_rec(graph.deformed, gt_norm)
         total = total + loss_trans(
             graph.t_flat, tgt_rest_norm, tgt_rest_norm.with_vertices(gt_norm),
-            graph.w_target.data,
+            tgt_enc.w.data,
             centers=PartCenters(centers=graph.target_centers.data,
-                                coverage=graph.w_target.data.sum(axis=0)))
-        total = total + 0.1 * loss_skin(graph.w_target, tgt_char.gt_skinning,
+                                coverage=tgt_enc.w.data.sum(axis=0)))
+        total = total + 0.1 * loss_skin(tgt_enc.w, tgt_char.gt_skinning,
                                         n_pairs=64, rng_seed=seed)
         total = total + 0.5 * loss_edge(graph.deformed, tgt_rest_norm, edges=edges)
         return total
 
-    base_fwd = transfer_pose_graph(posed_norm, src, tgt, params,
-                                   t_source=t_source)
-    w_tgt = base_fwd.w_target.data
-    t_backward = estimate_part_transforms(
-        tgt.mesh.with_vertices(tgt.norm_vertices),
-        tgt.mesh.with_vertices(base_fwd.deformed.data),
-        w_tgt / w_tgt.sum(axis=1, keepdims=True))
-
     def cycle_objective(_):
-        return loss_cycle(params, posed_norm, src, tgt,
+        return loss_cycle(params, posed_norm, encode_character(src, params),
+                          encode_character(tgt, params),
                           t_source=t_source, t_backward=t_backward).total
 
     checks = []

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .articulation import PartCenters, hard_assignment, hard_part_transforms, part_centers
 from .mesh import Mesh, edge_set
 from .networks import (
-    CharContext,
+    CharEncoding,
     PoseTransferParams,
     TransferGraph,
     _renormalized,
@@ -146,24 +146,19 @@ class CycleResult:
 
 
 def loss_cycle(params: PoseTransferParams, source_posed_norm: np.ndarray,
-               source: CharContext, target: CharContext,
+               source: CharEncoding, target: CharEncoding,
                t_source=None, t_backward=None, w_pseudo: float = 0.3,
                use_pseudo: bool = True) -> CycleResult:
     """Source -> target -> source round trip plus pseudo-ground truth.
 
     All geometry lives in the normalized per-character frames.  The
-    backward pass reuses the forward pass's predicted skinnings and rest
-    part latents; its analytic transforms are recomputed from the
-    (detached) predicted target and enter the graph as constants unless
-    ``t_backward`` pins them (gradient checking does, so both
-    stop-gradients stay fixed).
+    backward pass runs between the same two encodings; its analytic
+    transforms are recomputed from the (detached) predicted target and
+    enter the graph as constants unless ``t_backward`` pins them
+    (gradient checking does, so both stop-gradients stay fixed).
     """
-    fwd = transfer_pose_graph(source_posed_norm, source, target, params,
-                              t_source=t_source)
-    bwd = transfer_pose_graph(fwd.deformed, target, source, params,
-                              t_source=t_backward,
-                              w_source=fwd.w_target, w_target=fwd.w_source,
-                              z_rest=fwd.z_target, z_target=fwd.z_rest)
+    fwd = transfer_pose_graph(source_posed_norm, source, target, params, t_source)
+    bwd = transfer_pose_graph(fwd.deformed, target, source, params, t_backward)
     cycle_term = loss_rec(bwd.deformed, ad.constant(source_posed_norm))
 
     pseudo = None
@@ -171,7 +166,7 @@ def loss_cycle(params: PoseTransferParams, source_posed_norm: np.ndarray,
     if use_pseudo:
         r_src = np.stack([tf.rotation for tf in fwd.t_source])
         t_src = np.stack([tf.translation for tf in fwd.t_source])
-        pseudo = lbs_tensor(target.norm_vertices, ad.constant(fwd.w_target.data),
+        pseudo = lbs_tensor(target.ctx.norm_vertices, ad.constant(target.w.data),
                             ad.constant(r_src), ad.constant(t_src),
                             ad.constant(fwd.target_centers.data)).data
         pseudo_term = loss_rec(fwd.deformed, ad.constant(pseudo))
@@ -181,14 +176,12 @@ def loss_cycle(params: PoseTransferParams, source_posed_norm: np.ndarray,
                        pseudo_target=pseudo if pseudo is not None else np.zeros(0))
 
 
-def total_loss(components: dict, weights: LossWeights, mode: str) -> ad.Tensor:
-    """Weighted sum of whatever components the batch mode supplies.
+def total_loss(components: dict, weights: LossWeights) -> ad.Tensor:
+    """Weighted sum of whatever components the batch supplies.
 
     Paired batches carry rec + trans, unpaired batches carry cyc; skin
     and edge apply in both when present.  Missing components count as 0.
     """
-    if mode not in ("paired", "unpaired"):
-        raise ValueError(f"unknown mode {mode!r}")
     out = ad.Tensor(0.0)
     for name, lam in (("rec", weights.rec), ("trans", weights.trans),
                       ("cyc", weights.cyc), ("skin", weights.skin),

@@ -7,7 +7,7 @@ Meshes may be non-manifold and multi-component; no repair is attempted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

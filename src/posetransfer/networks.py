@@ -315,14 +315,50 @@ def char_context(mesh: Mesh) -> CharContext:
 
 
 @dataclass
+class CharEncoding:
+    """A character as the networks see it at rest.
+
+    The skinning weights and the rest part latents depend only on the
+    rest mesh and the params, so inference encodes each character once
+    and reuses the encoding for every frame.  ``z`` is always attended
+    through ``w``.
+    """
+
+    ctx: CharContext
+    w: ad.Tensor  # (N, K) skinning weights
+    z: ad.Tensor  # (K, C) rest part latents
+
+    def detached(self) -> CharEncoding:
+        """The same values without the autodiff tape behind them, which
+        holds every network activation while the encoding lives."""
+        return CharEncoding(ctx=self.ctx, w=ad.constant(self.w.data),
+                            z=ad.constant(self.z.data))
+
+
+def encode_character(ctx: CharContext, params: PoseTransferParams) -> CharEncoding:
+    leak = params.config.leak
+    w = predict_skinning(ctx.features, ctx.graph, params.skinning, leak)
+    y = encode(ctx.features, ctx.graph, params.encoder, leak)
+    return CharEncoding(ctx=ctx, w=w, z=attend(w, y, params.encoder))
+
+
+def source_transforms(source: CharEncoding, posed_vertices) -> list[RigidTransform]:
+    """Analytic part transforms of the posed source (normalized frame):
+    weighted Kabsch from rest to ``posed_vertices`` under the source's
+    renormalized skinning."""
+    ctx = source.ctx
+    return estimate_part_transforms(ctx.mesh.with_vertices(ctx.norm_vertices),
+                                    ctx.mesh.with_vertices(posed_vertices),
+                                    _renormalized(source.w.data))
+
+
+@dataclass
 class TransferGraph:
     """All live tensors of one source-to-target transfer (normalized frame)."""
 
     deformed: ad.Tensor  # (N_t, 3), target frame
-    w_source: ad.Tensor  # (N_s, K)
-    w_target: ad.Tensor  # (N_t, K)
-    z_rest: ad.Tensor  # (K, C) part latents of the source at rest
-    z_target: ad.Tensor  # (K, C) part latents of the target at rest
+    source: CharEncoding
+    target: CharEncoding
     t_source: list[RigidTransform]
     rotations: ad.Tensor  # (K, 3, 3)
     translations: ad.Tensor  # (K, 3)
@@ -330,63 +366,40 @@ class TransferGraph:
     target_centers: ad.Tensor  # (K, 3)
 
 
-def transfer_pose_graph(posed_source_vertices, source: CharContext, target: CharContext,
+def transfer_pose_graph(posed_source_vertices, source: CharEncoding, target: CharEncoding,
                         params: PoseTransferParams,
-                        t_source: list[RigidTransform] | None = None,
-                        w_source: ad.Tensor | None = None,
-                        w_target: ad.Tensor | None = None,
-                        z_rest: ad.Tensor | None = None,
-                        z_target: ad.Tensor | None = None) -> TransferGraph:
-    """Build the differentiable transfer graph.
+                        t_source: list[RigidTransform] | None = None) -> TransferGraph:
+    """Build the differentiable graph of one frame's transfer.
 
     ``posed_source_vertices`` must already be in the source rest frame;
     it may be a plain array or a live tensor (the cycle pass feeds the
     predicted target back in).  The analytic source transforms enter as
     constants; pass ``t_source`` to pin them (gradient checking does).
-    Skinnings and rest part latents already computed for these
-    characters with these params may be passed in to skip recomputing
-    them; ``z_rest`` must come from ``w_source`` and ``z_target`` from
-    ``w_target``.
     """
     leak = params.config.leak
-    if w_source is None:
-        w_source = predict_skinning(source.features, source.graph, params.skinning, leak)
-    if w_target is None:
-        w_target = predict_skinning(target.features, target.graph, params.skinning, leak)
-
+    src, tgt = source.ctx, target.ctx
     if isinstance(posed_source_vertices, ad.Tensor):
-        posed_feats = vertex_features_tensor(posed_source_vertices, source.mesh.faces)
+        posed_feats = vertex_features_tensor(posed_source_vertices, src.mesh.faces)
         posed_np = posed_source_vertices.data
     else:
         posed_np = np.asarray(posed_source_vertices, dtype=np.float64)
-        posed_feats = ad.constant(
-            vertex_features(source.mesh.with_vertices(posed_np)))
+        posed_feats = ad.constant(vertex_features(src.mesh.with_vertices(posed_np)))
 
-    if z_rest is None:
-        y_rest = encode(source.features, source.graph, params.encoder, leak)
-        z_rest = attend(w_source, y_rest, params.encoder)
-    if z_target is None:
-        y_target = encode(target.features, target.graph, params.encoder, leak)
-        z_target = attend(w_target, y_target, params.encoder)
-    y_posed = encode(posed_feats, source.graph, params.encoder, leak)
-    z_posed = attend(w_source, y_posed, params.encoder)
-
+    y_posed = encode(posed_feats, src.graph, params.encoder, leak)
+    z_posed = attend(source.w, y_posed, params.encoder)
     if t_source is None:
-        rest_mesh = source.mesh.with_vertices(source.norm_vertices)
-        posed_mesh = source.mesh.with_vertices(posed_np)
-        w_np = _renormalized(w_source.data)
-        t_source = estimate_part_transforms(rest_mesh, posed_mesh, w_np)
+        t_source = source_transforms(source, posed_np)
 
     rotations, translations, t_flat = decode_transforms(
-        z_target, z_posed - z_rest, t_source, params.decoder, leak)
+        target.z, z_posed - source.z, t_source, params.decoder, leak)
 
-    target_centers = centers_tensor(w_target, target.norm_vertices)
-    deformed = lbs_tensor(target.norm_vertices, w_target, rotations,
+    target_centers = centers_tensor(target.w, tgt.norm_vertices)
+    deformed = lbs_tensor(tgt.norm_vertices, target.w, rotations,
                           translations, target_centers)
-    return TransferGraph(deformed=deformed, w_source=w_source, w_target=w_target,
-                         z_rest=z_rest, z_target=z_target, t_source=t_source,
-                         rotations=rotations, translations=translations,
-                         t_flat=t_flat, target_centers=target_centers)
+    return TransferGraph(deformed=deformed, source=source, target=target,
+                         t_source=t_source, rotations=rotations,
+                         translations=translations, t_flat=t_flat,
+                         target_centers=target_centers)
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:
@@ -404,23 +417,20 @@ class TransferResult:
 
 
 def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
-                  params: PoseTransferParams,
-                  t_source: list[RigidTransform] | None = None) -> TransferResult:
+                  params: PoseTransferParams) -> TransferResult:
     """Full transfer on plain meshes: returns the deformed target in model
     units plus the predicted skinnings and part transforms."""
     if source_posed.n_vertices != source_rest.n_vertices:
         raise ValueError("posed and rest source must share vertices")
-    src = char_context(source_rest)
-    tgt = char_context(target_rest)
-    posed_norm = src.normalize(source_posed.vertices)
-    graph = transfer_pose_graph(posed_norm, src, tgt, params, t_source=t_source)
-    out_vertices = tgt.denormalize(graph.deformed.data)
+    src = encode_character(char_context(source_rest), params)
+    tgt = encode_character(char_context(target_rest), params)
+    graph = transfer_pose_graph(src.ctx.normalize(source_posed.vertices), src, tgt, params)
     transforms = [RigidTransform(rotation=r, translation=t)
                   for r, t in zip(graph.rotations.data, graph.translations.data)]
     return TransferResult(
-        mesh=target_rest.with_vertices(out_vertices),
-        w_source=_renormalized(graph.w_source.data),
-        w_target=_renormalized(graph.w_target.data),
+        mesh=target_rest.with_vertices(tgt.ctx.denormalize(graph.deformed.data)),
+        w_source=_renormalized(src.w.data),
+        w_target=_renormalized(tgt.w.data),
         transforms=transforms,
         t_source=graph.t_source,
     )

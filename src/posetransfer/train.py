@@ -32,6 +32,7 @@ from .networks import (
     PipelineConfig,
     PoseTransferParams,
     char_context,
+    encode_character,
     init_params,
     transfer_pose_graph,
 )
@@ -42,6 +43,10 @@ METRICS_HEADER = ["step", "mode", "total", "rec", "trans", "cyc", "skin", "edge"
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint's arrays do not match its own config."""
 
 
 @dataclass(frozen=True)
@@ -132,33 +137,41 @@ def _coerce(value: str, default):
     return value
 
 
+def read_config_file(path, defaults: dict) -> dict:
+    """The ``key = value`` lines of ``path`` (``#`` starts a comment),
+    coerced to the types in ``defaults``.
+
+    A malformed line, an unknown key or a bad value raises
+    ``ConfigError`` naming ``path:line``; ``OSError`` propagates.
+    """
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key not in defaults:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _coerce(val, defaults[key])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}")
+    return values
+
+
 def parse_config(path, base: TrainConfig | None = None,
                  overrides: dict | None = None) -> TrainConfig:
     """Line-based ``key = value`` config; CLI overrides win over the file."""
-    values = {}
+    merged = dataclasses.asdict(base or TrainConfig())
     if path is not None:
-        defaults = dataclasses.asdict(TrainConfig())
         try:
-            fh = open(path, "r")
+            merged.update(read_config_file(path, dataclasses.asdict(TrainConfig())))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
-        with fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in defaults:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _coerce(val, defaults[key])
-                except (ValueError, ConfigError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}")
-    merged = dataclasses.asdict(base or TrainConfig())
-    merged.update(values)
     if overrides:
         merged.update(overrides)
     try:
@@ -226,23 +239,35 @@ def save_checkpoint(path, params: PoseTransferParams, opt: Adam | None,
 def load_checkpoint(path):
     """Returns (params, optimizer-or-None, step, config).
 
-    Parameter arrays round-trip bitwise through the npz container.
+    Parameter arrays round-trip bitwise through the npz container.  Every
+    array must have the name and shape the stored config's architecture
+    gives it; a mismatch raises ``CheckpointError``.
     """
     with np.load(path) as data:
         config = TrainConfig(**{
             k: tuple(v) if isinstance(v, list) else v
             for k, v in json.loads(bytes(data["config_json"]).decode()).items()
         })
+
+        def stored(key, like):
+            if key not in data:
+                raise CheckpointError(f"missing array {key}")
+            array = data[key]
+            if array.shape != like.shape:
+                raise CheckpointError(f"{key} has shape {array.shape}, "
+                                      f"the config needs {like.shape}")
+            return array
+
         params = init_params(config.pipeline_config(), seed=config.seed)
         for name, tensor in params.named_tensors():
-            tensor.data = data[f"param/{name}"].copy()
+            tensor.data = stored(f"param/{name}", tensor.data)
         opt = None
         if "adam_t" in data:
             opt = Adam.from_config(params, config)
             opt.t = int(data["adam_t"])
             for name in opt.m:
-                opt.m[name] = data[f"adam_m/{name}"].copy()
-                opt.v[name] = data[f"adam_v/{name}"].copy()
+                opt.m[name] = stored(f"adam_m/{name}", opt.m[name])
+                opt.v[name] = stored(f"adam_v/{name}", opt.v[name])
         step = int(data["step"])
     return params, opt, step, config
 
@@ -269,64 +294,46 @@ class _ContextCache:
         return self._edges[key]
 
 
-def _skin_component(graph, src_sample, tgt_sample, config: TrainConfig, seed: int):
-    terms = []
-    for w, sample in ((graph.w_source, src_sample), (graph.w_target, tgt_sample)):
-        if sample.gt_skinning is not None:
-            terms.append(loss_skin(w, sample.gt_skinning,
-                                   n_pairs=config.n_skin_pairs, rng_seed=seed,
-                                   clamp=config.skin_clamp))
-    if not terms:
-        return None
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out * (1.0 / len(terms))
+def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
+                     cache: _ContextCache, params: PoseTransferParams,
+                     config: TrainConfig, seed: int) -> dict:
+    """Loss components for one batch sample.
 
-
-def paired_components(src_sample, tgt_sample, pose_idx: int, cache: _ContextCache,
-                      params: PoseTransferParams, config: TrainConfig, seed: int):
-    """Loss components for a paired batch: both characters share the pose."""
-    src = cache.context(src_sample)
-    tgt = cache.context(tgt_sample)
-    posed_norm = src.normalize(src_sample.poses[pose_idx][1].vertices)
-    gt_norm = tgt.normalize(tgt_sample.poses[pose_idx][1].vertices)
-    graph = transfer_pose_graph(posed_norm, src, tgt, params)
-
-    tgt_rest_norm = tgt.mesh.with_vertices(tgt.norm_vertices)
-    components = {
-        "rec": loss_rec(graph.deformed, gt_norm),
-        "trans": loss_trans(
-            graph.t_flat, tgt_rest_norm, tgt_rest_norm.with_vertices(gt_norm),
-            graph.w_target.data,
-            centers=PartCenters(centers=graph.target_centers.data,
-                                coverage=graph.w_target.data.sum(axis=0))),
-    }
+    A paired batch (both characters share the pose) carries rec + trans,
+    a static-target batch carries cyc (cycle + pseudo); skin and edge
+    apply to both.
+    """
+    src = encode_character(cache.context(src_sample), params)
+    tgt = encode_character(cache.context(tgt_sample), params)
+    posed_norm = src.ctx.normalize(src_sample.poses[pose_idx][1].vertices)
+    tgt_rest_norm = tgt.ctx.mesh.with_vertices(tgt.ctx.norm_vertices)
+    if paired:
+        gt_norm = tgt.ctx.normalize(tgt_sample.poses[pose_idx][1].vertices)
+        graph = transfer_pose_graph(posed_norm, src, tgt, params)
+        components = {
+            "rec": loss_rec(graph.deformed, gt_norm),
+            "trans": loss_trans(
+                graph.t_flat, tgt_rest_norm, tgt_rest_norm.with_vertices(gt_norm),
+                tgt.w.data,
+                centers=PartCenters(centers=graph.target_centers.data,
+                                    coverage=tgt.w.data.sum(axis=0))),
+        }
+    else:
+        cyc = loss_cycle(params, posed_norm, src, tgt,
+                         w_pseudo=config.w_pseudo, use_pseudo=config.use_pseudo)
+        graph = cyc.forward
+        components = {"cyc": cyc.total}
     if config.use_skin:
-        components["skin"] = _skin_component(graph, src_sample, tgt_sample, config, seed)
+        terms = [loss_skin(enc.w, sample.gt_skinning, n_pairs=config.n_skin_pairs,
+                           rng_seed=seed, clamp=config.skin_clamp)
+                 for enc, sample in ((src, src_sample), (tgt, tgt_sample))
+                 if sample.gt_skinning is not None]
+        if terms:
+            components["skin"] = sum(terms[1:], terms[0]) * (1.0 / len(terms))
     if config.use_edge:
         components["edge"] = loss_edge(graph.deformed, tgt_rest_norm,
                                        edges=cache.edges(tgt_sample))
-    return components, graph
-
-
-def unpaired_components(src_sample, pose_idx: int, tgt_sample, cache: _ContextCache,
-                        params: PoseTransferParams, config: TrainConfig, seed: int):
-    """Loss components for a static-target batch (cycle + pseudo)."""
-    src = cache.context(src_sample)
-    tgt = cache.context(tgt_sample)
-    posed_norm = src.normalize(src_sample.poses[pose_idx][1].vertices)
-    cyc = loss_cycle(params, posed_norm, src, tgt,
-                     w_pseudo=config.w_pseudo, use_pseudo=config.use_pseudo)
-    components = {"cyc": cyc.total}
-    if config.use_skin:
-        components["skin"] = _skin_component(cyc.forward, src_sample, tgt_sample,
-                                             config, seed)
-    if config.use_edge:
-        tgt_rest_norm = tgt.mesh.with_vertices(tgt.norm_vertices)
-        components["edge"] = loss_edge(cyc.forward.deformed, tgt_rest_norm,
-                                       edges=cache.edges(tgt_sample))
-    return components, cyc
+    return components
 
 
 def _component_report(components: dict) -> dict:
@@ -357,10 +364,11 @@ def sample_paired_batch(dataset: Dataset, rng: np.random.Generator):
 
 
 def sample_unpaired_batch(dataset: Dataset, rng: np.random.Generator):
+    """Sample a (posed source, static target, pose) batch."""
     src = dataset.paired[int(rng.integers(len(dataset.paired)))]
     pose = int(rng.integers(len(src.poses)))
     tgt = dataset.static[int(rng.integers(len(dataset.static)))]
-    return src, pose, tgt
+    return src, tgt, pose
 
 
 def _mode_pattern(dataset: Dataset, config: TrainConfig) -> str:
@@ -417,16 +425,11 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
         for sub in range(config.accum_pairs):
             rng = _batch_rng(config.seed, step, sub)
             skin_seed = int(rng.integers(2 ** 31))
-            if mode == "p":
-                src, tgt, pose_idx = sample_paired_batch(dataset, rng)
-                components, _ = paired_components(src, tgt, pose_idx, cache,
-                                                  params, config, skin_seed)
-                total = total_loss(components, weights, "paired")
-            else:
-                src, pose_idx, tgt = sample_unpaired_batch(dataset, rng)
-                components, _ = unpaired_components(src, pose_idx, tgt, cache,
-                                                    params, config, skin_seed)
-                total = total_loss(components, weights, "unpaired")
+            sample = sample_paired_batch if mode == "p" else sample_unpaired_batch
+            src, tgt, pose_idx = sample(dataset, rng)
+            components = batch_components(src, tgt, pose_idx, mode == "p", cache,
+                                          params, config, skin_seed)
+            total = total_loss(components, weights)
             (total * (1.0 / config.accum_pairs)).backward()
             report = _component_report(components)
             report["total"] = float(total.data)

@@ -31,8 +31,6 @@ from posetransfer.synth import (
     DatasetConfig,
     generate_character,
     make_dataset,
-    pose_character,
-    sample_pose,
 )
 from posetransfer.train import TrainConfig, fit, load_checkpoint, save_checkpoint
 

@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 
 from posetransfer.articulation import load_skinning, load_transforms, validate_skinning
-from posetransfer.cli import EXIT_OK, EXIT_USER, main
+from posetransfer.cli import EXIT_IO, EXIT_OK, EXIT_USER, main
+from posetransfer.evaluation import pmd
 from posetransfer.mesh import load_obj
+from posetransfer.networks import pose_transfer
+from posetransfer.synth import load_dataset
+from posetransfer.train import load_checkpoint
 
 
 DATA_CFG = ("n_paired = 2\nn_static = 2\nn_held = 2\nn_poses = 2\n"
@@ -51,6 +56,21 @@ def test_gen_data_rejects_unknown_key(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path / "d"),
                  "--config", str(cfg)]) == EXIT_USER
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_gen_data_config_errors_name_the_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# sizes\nn_paired = 2\nn_poses = many\n")
+    assert main(["gen-data", "--out", str(tmp_path / "d"),
+                 "--config", str(cfg)]) == EXIT_USER
+    assert f"{cfg}:3:" in capsys.readouterr().err
+
+
+def test_missing_config_exit_codes(workspace, tmp_path):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--config", missing]) == EXIT_IO
+    assert main(["train", "--data", str(workspace / "data"), "--config", missing,
+                 "--out", str(tmp_path / "r")]) == EXIT_USER
 
 
 def test_train_writes_checkpoint_and_metrics(workspace):
@@ -107,6 +127,41 @@ def test_eval_writes_report(workspace, tmp_path):
     assert lines[0] == "metric,split,value"
     metrics = {line.split(",")[0] for line in lines[1:]}
     assert {"pmd", "consistency_pred_to_gt", "consistency_gt_to_pred"} <= metrics
+
+
+def test_eval_pmd_rows_match_per_triple_transfers(workspace, tmp_path):
+    ckpt = workspace / "run" / "ckpt_final.npz"
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                 "--report", str(report)]) == EXIT_OK
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    params = load_checkpoint(ckpt)[0]
+    dataset = load_dataset(workspace / "data")
+    expected = []
+    for split, chars in (("held", dataset.held), ("paired", dataset.paired)):
+        values = [pmd(pose_transfer(posed, src.rest, tgt.rest, params).mesh,
+                      tgt.poses[p][1])
+                  for src in chars for tgt in chars if src is not tgt
+                  for p, (_, posed) in enumerate(src.poses)]
+        expected.append(["pmd", split, f"{np.mean(values):.6g}"])
+    assert [row for row in rows if row[0] == "pmd"] == expected
+
+
+def test_tampered_checkpoint_is_user_error(workspace, tmp_path, capsys):
+    with np.load(workspace / "run" / "ckpt_final.npz") as data:
+        arrays = dict(data)
+    arrays["param/dec.fc0.w"] = arrays["param/dec.fc0.w"][:, :5]
+    tampered = tmp_path / "tampered.npz"
+    np.savez(tampered, **arrays)
+    data = workspace / "data"
+    assert main(["transfer", "--ckpt", str(tampered),
+                 "--source-posed", str(data / "paired00_pose0.obj"),
+                 "--source-rest", str(data / "paired00_rest.obj"),
+                 "--target-rest", str(data / "paired01_rest.obj"),
+                 "--out", str(tmp_path / "o.obj")]) == EXIT_USER
+    err = capsys.readouterr().err
+    assert "param/dec.fc0.w" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o.obj").exists()
 
 
 def test_gradcheck_passes(capsys):

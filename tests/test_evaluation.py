@@ -7,7 +7,7 @@ from posetransfer.evaluation import (
     save_part_colored_obj,
     write_report,
 )
-from posetransfer.mesh import Mesh, load_obj, mesh_height
+from posetransfer.mesh import load_obj, mesh_height
 
 
 # ---- point-wise mesh distance ------------------------------------------

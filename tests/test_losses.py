@@ -14,7 +14,7 @@ from posetransfer.losses import (
     total_loss,
 )
 from posetransfer.mesh import Mesh, edge_set
-from posetransfer.networks import char_context, init_params
+from posetransfer.networks import char_context, encode_character, init_params
 from posetransfer.synth import pose_character, sample_pose
 
 from conftest import random_rotation
@@ -196,9 +196,9 @@ def test_loss_skin_matches_scalar_oracle():
 
 def test_loss_cycle_near_zero_for_rest_pose_at_identity_init(small_char, tiny_config):
     params = init_params(tiny_config, seed=0)  # zero decoder output layer
-    src = char_context(small_char.rest)
-    tgt = char_context(small_char.rest)
-    out = loss_cycle(params, src.norm_vertices, src, tgt)
+    src = encode_character(char_context(small_char.rest), params)
+    tgt = encode_character(char_context(small_char.rest), params)
+    out = loss_cycle(params, src.ctx.norm_vertices, src, tgt)
     assert out.total.item() < 1e-6
     assert out.cycle_term.item() < 1e-6
     assert out.pseudo_term.item() < 1e-6
@@ -208,9 +208,9 @@ def test_loss_cycle_recomposes_from_two_transfers(small_char, tiny_params):
     rng = np.random.default_rng(4)
     pose = sample_pose(small_char.n_joints, rng)
     posed = pose_character(small_char, pose)
-    src = char_context(small_char.rest)
-    tgt = char_context(small_char.rest)
-    posed_norm = src.normalize(posed.vertices)
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    tgt = encode_character(char_context(small_char.rest), tiny_params)
+    posed_norm = src.ctx.normalize(posed.vertices)
     out = loss_cycle(tiny_params, posed_norm, src, tgt, w_pseudo=0.3)
     # rebuild both terms from the graphs the loss returns
     cyc = np.abs(out.backward.deformed.data - posed_norm).mean()
@@ -225,8 +225,8 @@ def test_loss_cycle_pseudo_disabled(small_char, tiny_params):
     rng = np.random.default_rng(5)
     pose = sample_pose(small_char.n_joints, rng)
     posed = pose_character(small_char, pose)
-    src = char_context(small_char.rest)
-    posed_norm = src.normalize(posed.vertices)
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    posed_norm = src.ctx.normalize(posed.vertices)
     out = loss_cycle(tiny_params, posed_norm, src, src, use_pseudo=False)
     assert out.pseudo_term.item() == 0.0
     assert abs(out.total.item() - out.cycle_term.item()) < 1e-12
@@ -236,11 +236,11 @@ def test_loss_cycle_backward_reuses_forward_skinnings(small_char, tiny_params):
     rng = np.random.default_rng(6)
     pose = sample_pose(small_char.n_joints, rng)
     posed = pose_character(small_char, pose)
-    src = char_context(small_char.rest)
-    posed_norm = src.normalize(posed.vertices)
-    out = loss_cycle(tiny_params, posed_norm, src, src)
-    assert out.backward.w_source is out.forward.w_target
-    assert out.backward.w_target is out.forward.w_source
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    tgt = encode_character(char_context(small_char.rest), tiny_params)
+    out = loss_cycle(tiny_params, src.ctx.normalize(posed.vertices), src, tgt)
+    assert out.forward.source is out.backward.target is src
+    assert out.forward.target is out.backward.source is tgt
 
 
 # ---- total objective ---------------------------------------------------
@@ -249,25 +249,20 @@ def test_total_loss_weighted_sum():
     comps = {"rec": ad.Tensor(2.0), "trans": ad.Tensor(3.0),
              "skin": ad.Tensor(1.0), "edge": ad.Tensor(4.0)}
     w = LossWeights(rec=1.0, trans=0.5, cyc=1.0, skin=0.1, edge=0.25)
-    assert abs(total_loss(comps, w, "paired").item() - (2.0 + 1.5 + 0.1 + 1.0)) < 1e-12
+    assert abs(total_loss(comps, w).item() - (2.0 + 1.5 + 0.1 + 1.0)) < 1e-12
 
 
 def test_total_loss_missing_components_count_as_zero():
     comps = {"cyc": ad.Tensor(5.0)}
     w = LossWeights(cyc=0.5)
-    assert total_loss(comps, w, "unpaired").item() == 2.5
+    assert total_loss(comps, w).item() == 2.5
 
 
 def test_total_loss_halved_weight_halves_term():
     comps = {"rec": ad.Tensor(4.0)}
-    full = total_loss(comps, LossWeights(rec=1.0), "paired").item()
-    half = total_loss(comps, LossWeights(rec=0.5), "paired").item()
+    full = total_loss(comps, LossWeights(rec=1.0)).item()
+    half = total_loss(comps, LossWeights(rec=0.5)).item()
     assert abs(half - 0.5 * full) < 1e-12
-
-
-def test_total_loss_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        total_loss({}, LossWeights(), "test")
 
 
 def test_loss_weights_reject_negative():

@@ -11,6 +11,7 @@ from posetransfer.networks import (
     char_context,
     decode_transforms,
     encode,
+    encode_character,
     init_params,
     lbs_tensor,
     pose_transfer,
@@ -195,9 +196,28 @@ def test_default_transfer_graph_is_small():
     assert source.rest.n_vertices == target.rest.n_vertices == 160
     posed = pose_character(source, sample_pose(source.n_joints, np.random.default_rng(0)))
     params = init_params(PipelineConfig(), seed=0, zero_decoder_out=False)
-    src, tgt = char_context(source.rest), char_context(target.rest)
-    graph = transfer_pose_graph(src.normalize(posed.vertices), src, tgt, params)
+    src = encode_character(char_context(source.rest), params)
+    tgt = encode_character(char_context(target.rest), params)
+    graph = transfer_pose_graph(src.ctx.normalize(posed.vertices), src, tgt, params)
     assert _tape_size(graph.deformed) <= 250
+
+
+def test_frames_against_one_pair_of_encodings_match_pose_transfer(small_char, tiny_params):
+    """Encoding each character once changes no output bit."""
+    target = generate_character(CharacterSpec(
+        seed=4, limb_count=2, segments_per_limb=1, torso_segments=1,
+        ring_verts=4, rings_per_segment=2))
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    tgt = encode_character(char_context(target.rest), tiny_params)
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        posed = pose_character(small_char, sample_pose(small_char.n_joints, rng))
+        graph = transfer_pose_graph(src.ctx.normalize(posed.vertices), src, tgt, tiny_params)
+        expected = pose_transfer(posed, small_char.rest, target.rest, tiny_params)
+        assert np.array_equal(tgt.ctx.denormalize(graph.deformed.data),
+                              expected.mesh.vertices)
+        assert np.array_equal(graph.rotations.data,
+                              [tf.rotation for tf in expected.transforms])
 
 
 def test_identity_pipeline_at_zero_init(small_char, tiny_config):

@@ -7,6 +7,7 @@ from posetransfer.networks import init_params, pose_transfer
 from posetransfer.synth import DatasetConfig, make_dataset
 from posetransfer.train import (
     Adam,
+    CheckpointError,
     ConfigError,
     TrainConfig,
     fit,
@@ -167,6 +168,16 @@ def test_checkpoint_round_trip_is_bitwise(tiny_dataset, tmp_path):
     before = pose_transfer(src.poses[0][1], src.rest, tgt.rest, result.params)
     after = pose_transfer(src.poses[0][1], src.rest, tgt.rest, params)
     assert (before.mesh.vertices == after.mesh.vertices).all()
+
+
+def test_checkpoint_with_wrong_shape_parameter_is_rejected(tmp_path):
+    params = init_params(TINY.pipeline_config(), seed=TINY.seed)
+    dec = params.decoder.layers[0][0]
+    dec.data = dec.data[:, :5]
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, None, 0, TINY)
+    with pytest.raises(CheckpointError, match="dec.fc0.w"):
+        load_checkpoint(path)
 
 
 def test_fit_writes_metrics_and_final_checkpoint(tiny_dataset, tmp_path):
