@@ -190,10 +190,11 @@ def hard_part_transforms(rest: Mesh, posed: Mesh, labels: np.ndarray,
 def save_skinning(w: np.ndarray, path) -> None:
     """Text format: line 1 ``N K``; then N lines of K floats."""
     w = validate_skinning(w)
+    n, k = w.shape
+    row = " ".join(["%.10g"] * k) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"{w.shape[0]} {w.shape[1]}\n")
-        for row in w:
-            fh.write(" ".join(f"{x:.10g}" for x in row) + "\n")
+        fh.write(f"{n} {k}\n")
+        fh.write((row * n) % tuple(w.ravel().tolist()))
 
 
 def load_skinning(path) -> np.ndarray:

@@ -188,9 +188,8 @@ def abs_(a) -> Tensor:
 
 def leaky_relu(a, alpha: float = 0.2) -> Tensor:
     a = as_tensor(a)
-    slope = np.where(a.data > 0.0, 1.0, alpha)
     return _make(np.where(a.data > 0.0, a.data, alpha * a.data),
-                 [(a, lambda g: g * slope)])
+                 [(a, lambda g: g * np.where(a.data > 0.0, 1.0, alpha))])
 
 
 def log(a) -> Tensor:

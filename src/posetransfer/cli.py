@@ -192,14 +192,14 @@ def cmd_eval(args) -> int:
     from .networks import char_context, encode_character, transfer_pose_graph
     from .synth import SynthError, load_dataset
 
-    params, _, _, _ = _load_ckpt(args.ckpt)
+    params = _load_ckpt(args.ckpt)[0].frozen()
     try:
         dataset = load_dataset(args.data)
     except (OSError, SynthError) as exc:
         raise CliError(f"cannot load dataset: {exc}", EXIT_USER)
     # each character is encoded once; every (source, target, pose) triple
     # is one transfer step between two encodings
-    splits = [(split, chars, [encode_character(char_context(ch.rest), params).detached()
+    splits = [(split, chars, [encode_character(char_context(ch.rest), params)
                               for ch in chars])
               for split, chars in (("held", dataset.held), ("paired", dataset.paired))
               if len(chars) >= 2]
@@ -257,7 +257,7 @@ def cmd_skinning(args) -> int:
     from .evaluation import save_part_colored_obj
     from .networks import char_context, predict_skinning
 
-    params, _, _, _ = _load_ckpt(args.ckpt)
+    params = _load_ckpt(args.ckpt)[0].frozen()
     mesh = _load_mesh(args.mesh)
     ctx = char_context(mesh)
     w = predict_skinning(ctx.features, ctx.graph, params.skinning, params.config.leak)

@@ -82,62 +82,111 @@ def load_obj(path) -> Mesh:
     ``/``-attributes ignored, negative indices resolved relative to the
     vertices seen so far).  ``vn`` and everything else is skipped; normals
     are always recomputed.
+
+    Lines are split once and collected; coordinates and indices are then
+    converted and checked in bulk.  A file with errors raises for its
+    first bad line, found by ``_first_bad_line``.
     """
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
+    coords: list[str] = []  # 3 tokens per vertex line
+    v_lines: list[int] = []
+    heads: list[str] = []  # index tokens of every face line
+    f_lines: list[int] = []
+    f_sizes: list[int] = []
+    f_seen: list[int] = []  # vertices seen before each face line
+    shape_error = None
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            tokens = line.split()
             tag = tokens[0]
             if tag == "v":
                 if len(tokens) < 4:
-                    raise ObjParseError("vertex needs 3 coordinates", lineno)
-                try:
-                    vertices.append([float(t) for t in tokens[1:4]])
-                except ValueError as exc:
-                    raise ObjParseError(f"bad vertex coordinate: {exc}", lineno)
+                    shape_error = ObjParseError("vertex needs 3 coordinates", lineno)
+                    break
+                coords += tokens[1:4]
+                v_lines.append(lineno)
             elif tag == "f":
                 if len(tokens) < 4:
-                    raise ObjParseError("face needs at least 3 indices", lineno)
-                poly = []
-                for tok in tokens[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        idx = int(head)
-                    except ValueError:
-                        raise ObjParseError(f"bad face index {head!r}", lineno)
-                    if idx == 0:
-                        raise ObjParseError("OBJ indices are 1-based; 0 invalid", lineno)
-                    idx = idx - 1 if idx > 0 else len(vertices) + idx
-                    if not 0 <= idx < len(vertices):
-                        raise ObjParseError(
-                            f"face index {head} out of range (have {len(vertices)} vertices)",
-                            lineno,
-                        )
-                    poly.append(idx)
-                for a, b in zip(poly[1:-1], poly[2:]):
-                    faces.append([poly[0], a, b])
+                    shape_error = ObjParseError("face needs at least 3 indices", lineno)
+                    break
+                heads += [t.split("/")[0] for t in tokens[1:]] if "/" in raw else tokens[1:]
+                f_lines.append(lineno)
+                f_sizes.append(len(tokens) - 1)
+                f_seen.append(len(v_lines))
             # anything else (vn, vt, o, g, s, mtllib, ...) is ignored
-    if len(vertices) < 3:
+    try:
+        vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    except ValueError:
+        vertices = None
+    sizes = np.array(f_sizes, dtype=np.int64)
+    seen = np.repeat(np.array(f_seen, dtype=np.int64), sizes)
+    try:
+        given = np.array(heads, dtype=np.int64)
+        idx = np.where(given > 0, given - 1, seen + given)
+        faces_ok = bool(((idx >= 0) & (idx < seen)).all())  # index 0 lands on seen
+    except (ValueError, OverflowError):
+        faces_ok = False
+    if vertices is None or not faces_ok or shape_error is not None:
+        raise _first_bad_line(coords, v_lines, heads, f_lines, f_sizes, f_seen,
+                              shape_error)
+    if len(v_lines) < 3:
         raise MeshError(f"{path}: fewer than 3 vertices")
-    if not faces:
+    if not f_lines:
         raise MeshError(f"{path}: no faces")
-    return Mesh(vertices=np.array(vertices), faces=np.array(faces))
+    # fan-triangulate: polygon p with corners c_0..c_{n-1} gives (c_0, c_j, c_{j+1})
+    first = np.cumsum(sizes) - sizes
+    per_poly = sizes - 2
+    poly = np.repeat(np.arange(len(sizes)), per_poly)
+    j = np.arange(poly.size) - np.repeat(np.cumsum(per_poly) - per_poly, per_poly) + 1
+    corners = np.stack([first[poly], first[poly] + j, first[poly] + j + 1], axis=1)
+    return Mesh(vertices=vertices, faces=idx[corners])
+
+
+def _first_bad_line(coords, v_lines, heads, f_lines, f_sizes, f_seen,
+                    shape_error) -> ObjParseError:
+    """The error of the earliest bad line that ``load_obj`` collected,
+    or ``shape_error`` (the line that stopped collection) if none is."""
+    errors = [shape_error] if shape_error is not None else []
+    for i, lineno in enumerate(v_lines):
+        try:
+            for t in coords[3 * i:3 * i + 3]:
+                float(t)
+        except ValueError as exc:
+            errors.append(ObjParseError(f"bad vertex coordinate: {exc}", lineno))
+            break
+    offsets = np.cumsum([0] + f_sizes)
+    for lineno, start, stop, n_seen in zip(f_lines, offsets[:-1], offsets[1:], f_seen):
+        message = _face_error(heads[start:stop], n_seen)
+        if message is not None:
+            errors.append(ObjParseError(message, lineno))
+            break
+    return min(errors, key=lambda e: e.line)
+
+
+def _face_error(poly_heads, n_seen: int):
+    for head in poly_heads:
+        try:
+            idx = int(head)
+        except ValueError:
+            return f"bad face index {head!r}"
+        if idx == 0:
+            return "OBJ indices are 1-based; 0 invalid"
+        idx = idx - 1 if idx > 0 else n_seen + idx
+        if not 0 <= idx < n_seen:
+            return f"face index {head} out of range (have {n_seen} vertices)"
+    return None
 
 
 def save_obj(mesh: Mesh, path) -> None:
     """Write a Mesh as OBJ.  Coordinates keep 9 significant digits so a
     round-trip reproduces vertices well below the 1e-6 contract."""
+    v, f = mesh.vertices, mesh.faces + 1
     with open(path, "w") as fh:
         if mesh.name:
             fh.write(f"o {mesh.name}\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for i, j, k in mesh.faces + 1:
-            fh.write(f"f {i} {j} {k}\n")
+        fh.write(("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
 
 
 def face_normals(mesh: Mesh) -> np.ndarray:
@@ -173,7 +222,9 @@ def edge_set(mesh: Mesh) -> np.ndarray:
     f = mesh.faces
     pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]])
     pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs, axis=0)
+    n = mesh.n_vertices
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def graph_operator(mesh: Mesh) -> GraphOperator:

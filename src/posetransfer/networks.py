@@ -112,6 +112,27 @@ class PoseTransferParams:
             yield f"dec.fc{i}.w", w
             yield f"dec.fc{i}.b", b
 
+    def frozen(self) -> PoseTransferParams:
+        """The same arrays, not copies, wrapped as constants.  A forward
+        pass on frozen params records no autodiff tape, so each activation
+        is freed as soon as it is dead; inference runs on these."""
+        c = ad.constant
+
+        def convs(layers):
+            return [GraphConvLayer(w_neigh=c(layer.w_neigh), w_self=c(layer.w_self),
+                                   bias=c(layer.bias)) for layer in layers]
+
+        skin, enc = self.skinning, self.encoder
+        return PoseTransferParams(
+            config=self.config,
+            skinning=SkinningPredictorParams(layers=convs(skin.layers),
+                                             out_w=c(skin.out_w), out_b=c(skin.out_b)),
+            encoder=EncoderParams(layers=convs(enc.layers), out_w=c(enc.out_w),
+                                  out_b=c(enc.out_b), conv_w=c(enc.conv_w),
+                                  conv_b=c(enc.conv_b)),
+            decoder=DecoderParams(layers=[(c(w), c(b)) for w, b in self.decoder.layers]),
+        )
+
     def zero_grads(self):
         for _, t in self.named_tensors():
             t.zero_grad()
@@ -125,17 +146,17 @@ class PoseTransferParams:
         return out
 
 
-def _leaf(rng: np.random.Generator, shape, scale: float) -> ad.Tensor:
-    return ad.Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
+def _leaf(draw, shape, scale: float) -> ad.Tensor:
+    return ad.Tensor(draw(shape, scale), requires_grad=True)
 
 
-def _conv_stack_params(rng, dims) -> list:
+def _conv_stack_params(draw, dims) -> list:
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         s = np.sqrt(1.0 / d_in)
         layers.append(GraphConvLayer(
-            w_neigh=_leaf(rng, (d_in, d_out), s),
-            w_self=_leaf(rng, (d_in, d_out), s),
+            w_neigh=_leaf(draw, (d_in, d_out), s),
+            w_self=_leaf(draw, (d_in, d_out), s),
             bias=ad.Tensor(np.zeros(d_out), requires_grad=True),
         ))
     return layers
@@ -149,19 +170,32 @@ def init_params(config: PipelineConfig = PipelineConfig(), seed: int = 0,
     pipeline initially applies the analytic source transforms unchanged.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9e3779b9]))
+    return _build_params(config, lambda shape, scale: rng.normal(0.0, scale, size=shape),
+                         zero_decoder_out)
+
+
+def empty_params(config: PipelineConfig) -> PoseTransferParams:
+    """Params of ``config``'s architecture with unset arrays and no random
+    draws, for a loader that overwrites every array."""
+    return _build_params(config, lambda shape, scale: np.empty(shape), True)
+
+
+def _build_params(config: PipelineConfig, draw, zero_decoder_out: bool) -> PoseTransferParams:
+    """The architecture: ``draw(shape, scale)`` makes each random weight,
+    in a fixed order; biases start at zero."""
     c = config
     skin_dims = (c.feature_dim,) + tuple(c.skin_hidden)
     enc_dims = (c.feature_dim,) + tuple(c.enc_hidden)
     skinning = SkinningPredictorParams(
-        layers=_conv_stack_params(rng, skin_dims),
-        out_w=_leaf(rng, (skin_dims[-1], c.k_parts), np.sqrt(1.0 / skin_dims[-1])),
+        layers=_conv_stack_params(draw, skin_dims),
+        out_w=_leaf(draw, (skin_dims[-1], c.k_parts), np.sqrt(1.0 / skin_dims[-1])),
         out_b=ad.Tensor(np.zeros(c.k_parts), requires_grad=True),
     )
     encoder = EncoderParams(
-        layers=_conv_stack_params(rng, enc_dims),
-        out_w=_leaf(rng, (enc_dims[-1], c.latent), np.sqrt(1.0 / enc_dims[-1])),
+        layers=_conv_stack_params(draw, enc_dims),
+        out_w=_leaf(draw, (enc_dims[-1], c.latent), np.sqrt(1.0 / enc_dims[-1])),
         out_b=ad.Tensor(np.zeros(c.latent), requires_grad=True),
-        conv_w=_leaf(rng, (c.latent, c.latent), np.sqrt(1.0 / c.latent)),
+        conv_w=_leaf(draw, (c.latent, c.latent), np.sqrt(1.0 / c.latent)),
         conv_b=ad.Tensor(np.zeros(c.latent), requires_grad=True),
     )
     dec_dims = (2 * c.latent + 12,) + tuple(c.dec_hidden) + (9,)
@@ -171,7 +205,7 @@ def init_params(config: PipelineConfig = PipelineConfig(), seed: int = 0,
         if last and zero_decoder_out:
             w = ad.Tensor(np.zeros((d_in, d_out)), requires_grad=True)
         else:
-            w = _leaf(rng, (d_in, d_out), np.sqrt(2.0 / d_in))
+            w = _leaf(draw, (d_in, d_out), np.sqrt(2.0 / d_in))
         dec_layers.append((w, ad.Tensor(np.zeros(d_out), requires_grad=True)))
     decoder = DecoderParams(layers=dec_layers)
     return PoseTransferParams(config=config, skinning=skinning,
@@ -328,12 +362,6 @@ class CharEncoding:
     w: ad.Tensor  # (N, K) skinning weights
     z: ad.Tensor  # (K, C) rest part latents
 
-    def detached(self) -> CharEncoding:
-        """The same values without the autodiff tape behind them, which
-        holds every network activation while the encoding lives."""
-        return CharEncoding(ctx=self.ctx, w=ad.constant(self.w.data),
-                            z=ad.constant(self.z.data))
-
 
 def encode_character(ctx: CharContext, params: PoseTransferParams) -> CharEncoding:
     leak = params.config.leak
@@ -419,9 +447,11 @@ class TransferResult:
 def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
                   params: PoseTransferParams) -> TransferResult:
     """Full transfer on plain meshes: returns the deformed target in model
-    units plus the predicted skinnings and part transforms."""
+    units plus the predicted skinnings and part transforms.  Runs on
+    ``params.frozen()``, so it records no autodiff tape."""
     if source_posed.n_vertices != source_rest.n_vertices:
         raise ValueError("posed and rest source must share vertices")
+    params = params.frozen()
     src = encode_character(char_context(source_rest), params)
     tgt = encode_character(char_context(target_rest), params)
     graph = transfer_pose_graph(src.ctx.normalize(source_posed.vertices), src, tgt, params)

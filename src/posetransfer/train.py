@@ -26,12 +26,12 @@ from .losses import (
     loss_trans,
     total_loss,
 )
-from .mesh import edge_set
 from .networks import (
     CharContext,
     PipelineConfig,
     PoseTransferParams,
     char_context,
+    empty_params,
     encode_character,
     init_params,
     transfer_pose_graph,
@@ -258,7 +258,7 @@ def load_checkpoint(path):
                                       f"the config needs {like.shape}")
             return array
 
-        params = init_params(config.pipeline_config(), seed=config.seed)
+        params = empty_params(config.pipeline_config())
         for name, tensor in params.named_tensors():
             tensor.data = stored(f"param/{name}", tensor.data)
         opt = None
@@ -275,23 +275,20 @@ def load_checkpoint(path):
 # ---- batch construction ------------------------------------------------
 
 class _ContextCache:
-    """Per-character pipeline precomputation, keyed by sample identity."""
+    """Per-character pipeline precomputation, keyed by sample identity.
+
+    Each entry keeps its sample alive and is returned only for that very
+    object, so a recycled ``id`` can never hit a stale entry.
+    """
 
     def __init__(self):
-        self._ctx: dict = {}
-        self._edges: dict = {}
+        self._entries: dict = {}
 
     def context(self, sample) -> CharContext:
-        key = id(sample)
-        if key not in self._ctx:
-            self._ctx[key] = char_context(sample.rest)
-        return self._ctx[key]
-
-    def edges(self, sample) -> np.ndarray:
-        key = id(sample)
-        if key not in self._edges:
-            self._edges[key] = edge_set(sample.rest)
-        return self._edges[key]
+        entry = self._entries.get(id(sample))
+        if entry is None or entry[0] is not sample:
+            entry = self._entries[id(sample)] = (sample, char_context(sample.rest))
+        return entry[1]
 
 
 def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
@@ -332,7 +329,7 @@ def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
             components["skin"] = sum(terms[1:], terms[0]) * (1.0 / len(terms))
     if config.use_edge:
         components["edge"] = loss_edge(graph.deformed, tgt_rest_norm,
-                                       edges=cache.edges(tgt_sample))
+                                       edges=tgt.ctx.graph.edges)
     return components
 
 

@@ -328,6 +328,24 @@ def test_skinning_file_round_trip(tmp_path):
     assert np.abs(back - w).max() < 1e-9
 
 
+def _save_skinning_lines(w, path):
+    """The per-row skinning writer that ``save_skinning`` replaced (byte oracle)."""
+    with open(path, "w") as fh:
+        fh.write(f"{w.shape[0]} {w.shape[1]}\n")
+        for row in w:
+            fh.write(" ".join(f"{x:.10g}" for x in row) + "\n")
+
+
+def test_skinning_file_bytes_match_row_oracle(tmp_path):
+    rng = np.random.default_rng(15)
+    peaked = _random_skinning(rng, 50, 40) ** 8
+    for w in (_random_skinning(rng, 9, 3), peaked / peaked.sum(axis=1, keepdims=True),
+              np.eye(5), np.full((3, 4), 0.25)):
+        save_skinning(w, tmp_path / "bulk.txt")
+        _save_skinning_lines(w, tmp_path / "rows.txt")
+        assert (tmp_path / "bulk.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
+
+
 def test_transform_file_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     transforms = [RigidTransform(rotation=random_rotation(rng),

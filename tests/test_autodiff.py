@@ -30,6 +30,22 @@ def test_forward_deterministic():
     assert (a.data == b.data).all()
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.5])
+def test_leaky_relu_is_bitwise_the_slope_array_formulation(alpha):
+    """Forward value and gradient equal the formulation that built the
+    slope array eagerly in the forward pass."""
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(40, 7))
+    x[0, :3] = [0.0, -0.0, 1e-300]
+    g = rng.normal(size=x.shape)
+    slope = np.where(x > 0.0, 1.0, alpha)
+    t = _t(x)
+    out = ad.leaky_relu(t, alpha=alpha)
+    ad.sum_(out * ad.constant(g)).backward()
+    assert np.array_equal(out.data, np.where(x > 0.0, x, alpha * x))
+    assert np.array_equal(t.grad, g * slope)
+
+
 # ---- backward contracts ------------------------------------------------
 
 def test_backward_sum_gives_ones():

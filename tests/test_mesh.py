@@ -99,6 +99,161 @@ def test_save_obj_precision(tmp_path, triangle):
     assert "0.1234567" in p.read_text()
 
 
+def _load_obj_lines(path):
+    """The line-by-line OBJ reader that ``load_obj`` replaced, kept as an
+    oracle: it returns the Mesh or raises for the first bad line."""
+    vertices, faces = [], []
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if tokens[0] == "v":
+                if len(tokens) < 4:
+                    raise ObjParseError("vertex needs 3 coordinates", lineno)
+                try:
+                    vertices.append([float(t) for t in tokens[1:4]])
+                except ValueError as exc:
+                    raise ObjParseError(f"bad vertex coordinate: {exc}", lineno)
+            elif tokens[0] == "f":
+                if len(tokens) < 4:
+                    raise ObjParseError("face needs at least 3 indices", lineno)
+                poly = []
+                for tok in tokens[1:]:
+                    head = tok.split("/")[0]
+                    try:
+                        idx = int(head)
+                    except ValueError:
+                        raise ObjParseError(f"bad face index {head!r}", lineno)
+                    if idx == 0:
+                        raise ObjParseError("OBJ indices are 1-based; 0 invalid", lineno)
+                    idx = idx - 1 if idx > 0 else len(vertices) + idx
+                    if not 0 <= idx < len(vertices):
+                        raise ObjParseError(
+                            f"face index {head} out of range (have {len(vertices)} vertices)",
+                            lineno)
+                    poly.append(idx)
+                for a, b in zip(poly[1:-1], poly[2:]):
+                    faces.append([poly[0], a, b])
+    if len(vertices) < 3:
+        raise MeshError(f"{path}: fewer than 3 vertices")
+    if not faces:
+        raise MeshError(f"{path}: no faces")
+    return Mesh(vertices=np.array(vertices), faces=np.array(faces))
+
+
+def _save_obj_lines(mesh, path):
+    """The per-line OBJ writer that ``save_obj`` replaced (byte oracle)."""
+    with open(path, "w") as fh:
+        if mesh.name:
+            fh.write(f"o {mesh.name}\n")
+        for x, y, z in mesh.vertices:
+            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+        for i, j, k in mesh.faces + 1:
+            fh.write(f"f {i} {j} {k}\n")
+
+
+MIXED_OBJ = """# exported
+mtllib scene.mtl
+o body
+v 0 0 0
+v 1.5 0 0  # trailing comment
+v 1 1 0 1.0
+  v   0 1 0
+vn 0 0 1
+vt 0.5 0.5
+g part
+s off
+f 1/1/1 2/2/1 3/3/1 4/4/1
+f -4//1 -3//1 -1//1
+
+v 2 0 1
+v 2 1 1
+f 2 5 6 3
+f -1 -2 -4 -5 -3
+"""
+
+
+def test_load_obj_matches_line_oracle_on_mixed_file(tmp_path):
+    p = tmp_path / "mixed.obj"
+    p.write_text(MIXED_OBJ)
+    got, want = load_obj(p), _load_obj_lines(p)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.faces, want.faces)
+    assert got.faces.dtype == want.faces.dtype and got.vertices.dtype == want.vertices.dtype
+    assert got.faces.tolist()[:3] == [[0, 1, 2], [0, 2, 3], [0, 1, 3]]
+
+
+@pytest.mark.parametrize("text", [
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 0 x\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -4\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 # note\n",
+    "v 0 0 0\nf 1 2 3\nv 1 0 0\nv 0 1 0\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 nope\nf 1 2 4\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\nv 0 1 nope\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\nv 0 1\n",
+    "v 0 0 0\nv 1 x 0\nv 0 1 0\nf 1 2\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\nf 1 2 9\n",
+    "v 0 0 0\nv 1 0 0\nf 1 2 -1\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n",
+])
+def test_load_obj_errors_match_line_oracle(tmp_path, text):
+    p = tmp_path / "bad.obj"
+    p.write_text(text)
+    with pytest.raises(MeshError) as want:
+        _load_obj_lines(p)
+    with pytest.raises(MeshError) as got:
+        load_obj(p)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "line", None) == getattr(want.value, "line", None)
+
+
+def _grid_obj_text(n_side):
+    """A flat n_side x n_side vertex grid, two triangles per cell."""
+    lines = [f"v {i} {j} 0" for i in range(n_side) for j in range(n_side)]
+    for i in range(n_side - 1):
+        for j in range(n_side - 1):
+            a = i * n_side + j + 1
+            lines += [f"f {a} {a + 1} {a + n_side}", f"f {a + 1} {a + n_side + 1} {a + n_side}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("last, message", [
+    ("v 0.5 oops 0", "bad vertex coordinate"),
+    ("f 1 2 5042", "face index 5042 out of range (have 5041 vertices)"),
+])
+def test_load_obj_large_file_reports_last_line(tmp_path, last, message):
+    text = _grid_obj_text(71)  # 5041 vertices, 9800 faces
+    p = tmp_path / "big.obj"
+    p.write_text(text + last + "\n")
+    with pytest.raises(ObjParseError) as exc:
+        load_obj(p)
+    assert exc.value.line == text.count("\n") + 1
+    assert message in str(exc.value)
+
+
+def test_save_obj_bytes_match_line_oracle(tmp_path):
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(60, 3)) * np.array([1e-7, 1.0, 3e5])
+    v[:4] = [[0.0, -0.0, 1e-300], [1e16, -1e-5, 0.1], [123456789.123, 2.5, -7.0],
+             [np.pi, -np.e, 1.0 / 3.0]]
+    faces = np.stack([np.arange(58), np.arange(1, 59), np.arange(2, 60)], axis=1)
+    for name in ("", "body"):
+        mesh = Mesh(vertices=v, faces=faces, name=name)
+        save_obj(mesh, tmp_path / "bulk.obj")
+        _save_obj_lines(mesh, tmp_path / "lines.obj")
+        assert (tmp_path / "bulk.obj").read_bytes() == (tmp_path / "lines.obj").read_bytes()
+    big = generate_character(CharacterSpec(seed=2))
+    save_obj(big.rest, tmp_path / "bulk.obj")
+    _save_obj_lines(big.rest, tmp_path / "lines.obj")
+    assert (tmp_path / "bulk.obj").read_bytes() == (tmp_path / "lines.obj").read_bytes()
+
+
 # ---- normals and features ---------------------------------------------
 
 def test_planar_triangle_normals(triangle):
@@ -192,6 +347,25 @@ def test_edge_set_ordering(tetrahedron):
     e = edge_set(tetrahedron)
     assert (e[:, 0] < e[:, 1]).all()
     assert len({tuple(r) for r in e.tolist()}) == len(e)
+
+
+def test_edge_set_matches_row_unique(triangle):
+    """The 1-D key ``unique`` gives exactly the old ``unique(axis=0)`` rows."""
+    def rows_unique(mesh):
+        f = mesh.faces
+        pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]])
+        return np.unique(np.sort(pairs, axis=1), axis=0)
+
+    isolated = Mesh(vertices=np.vstack([triangle.vertices, [[5.0, 5.0, 5.0]]]),
+                    faces=triangle.faces)
+    shuffled = Mesh(vertices=np.zeros((9, 3)) + np.arange(9)[:, None],
+                    faces=[[8, 0, 4], [4, 0, 2], [7, 8, 4], [2, 0, 8]])
+    meshes = [isolated, shuffled] + [generate_character(CharacterSpec(seed=s)).rest
+                                     for s in range(3)]
+    for mesh in meshes:
+        got, want = edge_set(mesh), rows_unique(mesh)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype and got.shape == want.shape
 
 
 def test_graph_operator_triangle(triangle):

@@ -10,6 +10,7 @@ from posetransfer.networks import (
     centers_tensor,
     char_context,
     decode_transforms,
+    empty_params,
     encode,
     encode_character,
     init_params,
@@ -220,6 +221,37 @@ def test_frames_against_one_pair_of_encodings_match_pose_transfer(small_char, ti
                               [tf.rotation for tf in expected.transforms])
 
 
+def test_frozen_params_share_arrays_and_record_no_tape(small_char, tiny_params):
+    frozen = tiny_params.frozen()
+    for (name, t), (_, f) in zip(tiny_params.named_tensors(), frozen.named_tensors()):
+        assert f.data is t.data, name
+        assert t.requires_grad and not f.requires_grad
+    enc = encode_character(char_context(small_char.rest), frozen)
+    assert enc.w._vjps == [] and enc.z._vjps == []
+    assert not enc.w.requires_grad and not enc.z.requires_grad
+
+
+def test_pose_transfer_equals_taped_run(small_char, tiny_params):
+    """The frozen (tape-free) transfer is bitwise the taped graph's values."""
+    target = generate_character(CharacterSpec(
+        seed=4, limb_count=2, segments_per_limb=1, torso_segments=1,
+        ring_verts=4, rings_per_segment=2))
+    posed = pose_character(small_char, sample_pose(small_char.n_joints,
+                                                   np.random.default_rng(6)))
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    tgt = encode_character(char_context(target.rest), tiny_params)
+    graph = transfer_pose_graph(src.ctx.normalize(posed.vertices), src, tgt, tiny_params)
+    assert _tape_size(graph.deformed) > 1
+    out = pose_transfer(posed, small_char.rest, target.rest, tiny_params)
+    assert np.array_equal(out.mesh.vertices, tgt.ctx.denormalize(graph.deformed.data))
+    assert np.array_equal(out.w_source, src.w.data / src.w.data.sum(axis=1, keepdims=True))
+    assert np.array_equal(out.w_target, tgt.w.data / tgt.w.data.sum(axis=1, keepdims=True))
+    assert np.array_equal([tf.rotation for tf in out.transforms], graph.rotations.data)
+    assert np.array_equal([tf.translation for tf in out.transforms], graph.translations.data)
+    assert np.array_equal([tf.flat() for tf in out.t_source],
+                          [tf.flat() for tf in graph.t_source])
+
+
 def test_identity_pipeline_at_zero_init(small_char, tiny_config):
     params = init_params(tiny_config, seed=1)  # zero decoder output layer
     rest = small_char.rest
@@ -253,3 +285,9 @@ def test_init_params_seeded_deterministic(tiny_config):
     for (na, ta), (nb, tb) in zip(a.named_tensors(), b.named_tensors()):
         assert na == nb
         assert (ta.data == tb.data).all()
+
+
+def test_empty_params_have_the_init_names_and_shapes(tiny_config):
+    drawn = [(n, t.shape, t.requires_grad) for n, t in init_params(tiny_config).named_tensors()]
+    empty = [(n, t.shape, t.requires_grad) for n, t in empty_params(tiny_config).named_tensors()]
+    assert empty == drawn

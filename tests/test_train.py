@@ -1,15 +1,18 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from posetransfer.networks import init_params, pose_transfer
-from posetransfer.synth import DatasetConfig, make_dataset
+from posetransfer.synth import CharacterSpec, DatasetConfig, generate_character, make_dataset
 from posetransfer.train import (
     Adam,
     CheckpointError,
     ConfigError,
     TrainConfig,
+    _ContextCache,
+    _probe_pmd,
     fit,
     load_checkpoint,
     parse_config,
@@ -112,6 +115,27 @@ def test_paired_batches_prefer_cross_pairs(tiny_dataset):
         src, tgt, pose = sample_paired_batch(tiny_dataset, rng)
         assert src is not tgt
         assert 0 <= pose < len(src.poses)
+
+
+def test_context_cache_never_returns_a_stale_entry():
+    """A freed sample's id is often reused by the next object; the cache
+    must still answer for the object it is given."""
+    meshes = [generate_character(CharacterSpec(
+        seed=s, limb_count=2, segments_per_limb=1, torso_segments=1,
+        ring_verts=3, rings_per_segment=2)).rest for s in range(2)]
+    cache = _ContextCache()
+    for i in range(20):
+        sample = SimpleNamespace(rest=meshes[i % 2])
+        assert cache.context(sample).mesh is sample.rest
+        assert cache.context(sample) is cache.context(sample)
+        del sample
+
+
+def test_probe_leaves_training_params_differentiable(tiny_dataset):
+    params = init_params(TINY.pipeline_config(), seed=TINY.seed)
+    assert np.isfinite(_probe_pmd(tiny_dataset, params))
+    for name, t in params.named_tensors():
+        assert t.requires_grad and t.grad is None, name
 
 
 # ---- training loop -----------------------------------------------------
