@@ -260,7 +260,7 @@ def cmd_skinning(args) -> int:
     params = _load_ckpt(args.ckpt)[0].frozen()
     mesh = _load_mesh(args.mesh)
     ctx = char_context(mesh)
-    w = predict_skinning(ctx.features, ctx.graph, params.skinning, params.config.leak)
+    w = predict_skinning(ctx.features, ctx.graph, params)
     labels = np.argmax(w.data, axis=1)
     try:
         save_part_colored_obj(mesh, labels, args.out)

@@ -153,24 +153,24 @@ def _network_checks(seed: int):
     coeff0 = rng.normal(size=(n, config.k_parts))
     checks.append(("net/skinning-wrt-features", feats,
                    lambda t, c=coeff0: ad.mean(
-                       predict_skinning(t, ctx.graph, params.skinning)
+                       predict_skinning(t, ctx.graph, params)
                        * ad.constant(c))))
 
-    w_conv = params.skinning.layers[0].w_neigh
+    w_conv = params["skin.conv0.w_neigh"]
     coeff = rng.normal(size=(n, config.k_parts))
     checks.append(("net/skinning-wrt-weights", w_conv,
                    lambda t: ad.mean(
-                       predict_skinning(ctx.features, ctx.graph, params.skinning)
+                       predict_skinning(ctx.features, ctx.graph, params)
                        * ad.constant(coeff))))
 
-    enc_w = params.encoder.out_w
+    enc_w = params["enc.out.w"]
     w_fixed = rng.dirichlet(np.ones(config.k_parts), size=n)
     coeff2 = rng.normal(size=(config.k_parts, config.latent))
     checks.append(("net/encode-attend-wrt-weights", enc_w,
                    lambda t: ad.mean(attend(
                        ad.constant(w_fixed),
-                       encode(ctx.features, ctx.graph, params.encoder),
-                       params.encoder) * ad.constant(coeff2))))
+                       encode(ctx.features, ctx.graph, params),
+                       params) * ad.constant(coeff2))))
 
     raw = _t(rng, (4, 6), lo=-0.5, hi=0.5)
     rot_coeff = rng.normal(size=(4, 3, 3))
@@ -290,11 +290,10 @@ def _pipeline_checks(seed: int, max_coords: int):
     checks = []
     picks = {"skinning": "skin.conv0.w_neigh", "encoder": "enc.out.w",
              "decoder": "dec.fc0.w"}
-    named = dict(params.named_tensors())
     for group, name in picks.items():
-        checks.append((f"pipeline/paired-wrt-{group}", named[name],
+        checks.append((f"pipeline/paired-wrt-{group}", params[name],
                        paired_objective))
-    checks.append(("pipeline/cycle-wrt-decoder", named["dec.fc1.w"],
+    checks.append(("pipeline/cycle-wrt-decoder", params["dec.fc1.w"],
                    cycle_objective))
     return checks
 

@@ -78,10 +78,10 @@ class GraphOperator:
 def load_obj(path) -> Mesh:
     """Read a Wavefront OBJ file.
 
-    Supported: ``v x y z``, ``f i j k ...`` (polygons fan-triangulated,
-    ``/``-attributes ignored, negative indices resolved relative to the
-    vertices seen so far).  ``vn`` and everything else is skipped; normals
-    are always recomputed.
+    Supported: ``v x y z`` with finite coordinates, ``f i j k ...``
+    (polygons fan-triangulated, ``/``-attributes ignored, negative indices
+    resolved relative to the vertices seen so far).  ``vn`` and everything
+    else is skipped; normals are always recomputed.
 
     Lines are split once and collected; coordinates and indices are then
     converted and checked in bulk.  A file with errors raises for its
@@ -117,8 +117,9 @@ def load_obj(path) -> Mesh:
             # anything else (vn, vt, o, g, s, mtllib, ...) is ignored
     try:
         vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+        coords_ok = bool(np.isfinite(vertices).all())
     except ValueError:
-        vertices = None
+        coords_ok = False
     sizes = np.array(f_sizes, dtype=np.int64)
     seen = np.repeat(np.array(f_seen, dtype=np.int64), sizes)
     try:
@@ -127,7 +128,7 @@ def load_obj(path) -> Mesh:
         faces_ok = bool(((idx >= 0) & (idx < seen)).all())  # index 0 lands on seen
     except (ValueError, OverflowError):
         faces_ok = False
-    if vertices is None or not faces_ok or shape_error is not None:
+    if not coords_ok or not faces_ok or shape_error is not None:
         raise _first_bad_line(coords, v_lines, heads, f_lines, f_sizes, f_seen,
                               shape_error)
     if len(v_lines) < 3:
@@ -149,11 +150,9 @@ def _first_bad_line(coords, v_lines, heads, f_lines, f_sizes, f_seen,
     or ``shape_error`` (the line that stopped collection) if none is."""
     errors = [shape_error] if shape_error is not None else []
     for i, lineno in enumerate(v_lines):
-        try:
-            for t in coords[3 * i:3 * i + 3]:
-                float(t)
-        except ValueError as exc:
-            errors.append(ObjParseError(f"bad vertex coordinate: {exc}", lineno))
+        message = _vertex_error(coords[3 * i:3 * i + 3])
+        if message is not None:
+            errors.append(ObjParseError(message, lineno))
             break
     offsets = np.cumsum([0] + f_sizes)
     for lineno, start, stop, n_seen in zip(f_lines, offsets[:-1], offsets[1:], f_seen):
@@ -162,6 +161,17 @@ def _first_bad_line(coords, v_lines, heads, f_lines, f_sizes, f_seen,
             errors.append(ObjParseError(message, lineno))
             break
     return min(errors, key=lambda e: e.line)
+
+
+def _vertex_error(tokens):
+    for t in tokens:
+        try:
+            x = float(t)
+        except ValueError as exc:
+            return f"bad vertex coordinate: {exc}"
+        if not np.isfinite(x):
+            return f"non-finite vertex coordinate {t!r}"
+    return None
 
 
 def _face_error(poly_heads, n_seen: int):

@@ -57,109 +57,64 @@ class PipelineConfig:
 
 
 @dataclass
-class GraphConvLayer:
-    """h' = leaky(A h W_neigh + h W_self + b) with A the graph operator."""
-
-    w_neigh: ad.Tensor
-    w_self: ad.Tensor
-    bias: ad.Tensor
-
-
-@dataclass
-class SkinningPredictorParams:
-    layers: list
-    out_w: ad.Tensor
-    out_b: ad.Tensor
-
-
-@dataclass
-class EncoderParams:
-    layers: list
-    out_w: ad.Tensor
-    out_b: ad.Tensor
-    conv_w: ad.Tensor  # per-part kernel-size-1 conv on attended features
-    conv_b: ad.Tensor
-
-
-@dataclass
-class DecoderParams:
-    layers: list  # list of (w, b); final layer maps to 9 = 6D rotation + translation
-
-
-@dataclass
 class PoseTransferParams:
+    """Every parameter tensor of the three networks under its checkpoint
+    name, in ``_layout`` order."""
+
     config: PipelineConfig
-    skinning: SkinningPredictorParams
-    encoder: EncoderParams
-    decoder: DecoderParams
+    tensors: dict
+
+    def __getitem__(self, name: str) -> ad.Tensor:
+        return self.tensors[name]
 
     def named_tensors(self):
-        for i, layer in enumerate(self.skinning.layers):
-            yield f"skin.conv{i}.w_neigh", layer.w_neigh
-            yield f"skin.conv{i}.w_self", layer.w_self
-            yield f"skin.conv{i}.bias", layer.bias
-        yield "skin.out.w", self.skinning.out_w
-        yield "skin.out.b", self.skinning.out_b
-        for i, layer in enumerate(self.encoder.layers):
-            yield f"enc.conv{i}.w_neigh", layer.w_neigh
-            yield f"enc.conv{i}.w_self", layer.w_self
-            yield f"enc.conv{i}.bias", layer.bias
-        yield "enc.out.w", self.encoder.out_w
-        yield "enc.out.b", self.encoder.out_b
-        yield "enc.attend.w", self.encoder.conv_w
-        yield "enc.attend.b", self.encoder.conv_b
-        for i, (w, b) in enumerate(self.decoder.layers):
-            yield f"dec.fc{i}.w", w
-            yield f"dec.fc{i}.b", b
+        return self.tensors.items()
 
     def frozen(self) -> PoseTransferParams:
         """The same arrays, not copies, wrapped as constants.  A forward
         pass on frozen params records no autodiff tape, so each activation
         is freed as soon as it is dead; inference runs on these."""
-        c = ad.constant
-
-        def convs(layers):
-            return [GraphConvLayer(w_neigh=c(layer.w_neigh), w_self=c(layer.w_self),
-                                   bias=c(layer.bias)) for layer in layers]
-
-        skin, enc = self.skinning, self.encoder
-        return PoseTransferParams(
-            config=self.config,
-            skinning=SkinningPredictorParams(layers=convs(skin.layers),
-                                             out_w=c(skin.out_w), out_b=c(skin.out_b)),
-            encoder=EncoderParams(layers=convs(enc.layers), out_w=c(enc.out_w),
-                                  out_b=c(enc.out_b), conv_w=c(enc.conv_w),
-                                  conv_b=c(enc.conv_b)),
-            decoder=DecoderParams(layers=[(c(w), c(b)) for w, b in self.decoder.layers]),
-        )
+        return PoseTransferParams(self.config, {name: ad.constant(t)
+                                                for name, t in self.tensors.items()})
 
     def zero_grads(self):
-        for _, t in self.named_tensors():
+        for t in self.tensors.values():
             t.zero_grad()
 
-    def groups(self) -> dict:
-        """Parameter tensors bucketed by module, for gradient checking."""
-        out = {"skinning": [], "encoder": [], "decoder": []}
-        for name, t in self.named_tensors():
-            key = {"skin": "skinning", "enc": "encoder", "dec": "decoder"}[name.split(".")[0]]
-            out[key].append((name, t))
-        return out
+
+def _layout(config: PipelineConfig) -> list:
+    """The architecture: ``(name, shape, scale)`` for every parameter in
+    draw order.  A weight is drawn from N(0, scale^2); a ``None`` scale
+    (every bias) starts at zero.  The names are the checkpoint keys."""
+    c = config
+    layout = []
+
+    def dense(name, d_in, d_out, scale):
+        layout.extend([(f"{name}.w", (d_in, d_out), scale), (f"{name}.b", (d_out,), None)])
+
+    for prefix, hidden, d_out in (("skin", c.skin_hidden, c.k_parts),
+                                  ("enc", c.enc_hidden, c.latent)):
+        dims = (c.feature_dim,) + tuple(hidden)
+        for i, (d_in, d_hid) in enumerate(zip(dims[:-1], dims[1:])):
+            s = np.sqrt(1.0 / d_in)
+            layout.extend([(f"{prefix}.conv{i}.w_neigh", (d_in, d_hid), s),
+                           (f"{prefix}.conv{i}.w_self", (d_in, d_hid), s),
+                           (f"{prefix}.conv{i}.bias", (d_hid,), None)])
+        dense(f"{prefix}.out", dims[-1], d_out, np.sqrt(1.0 / dims[-1]))
+    dense("enc.attend", c.latent, c.latent, np.sqrt(1.0 / c.latent))
+    # final decoder layer maps to 9 = 6D rotation + translation
+    dims = (2 * c.latent + 12,) + tuple(c.dec_hidden) + (9,)
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        dense(f"dec.fc{i}", d_in, d_out, np.sqrt(2.0 / d_in))
+    return layout
 
 
-def _leaf(draw, shape, scale: float) -> ad.Tensor:
-    return ad.Tensor(draw(shape, scale), requires_grad=True)
-
-
-def _conv_stack_params(draw, dims) -> list:
-    layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        s = np.sqrt(1.0 / d_in)
-        layers.append(GraphConvLayer(
-            w_neigh=_leaf(draw, (d_in, d_out), s),
-            w_self=_leaf(draw, (d_in, d_out), s),
-            bias=ad.Tensor(np.zeros(d_out), requires_grad=True),
-        ))
-    return layers
+def _params(config: PipelineConfig, make) -> PoseTransferParams:
+    """One leaf tensor per ``_layout`` entry, ``make(name, shape, scale)``
+    called in draw order."""
+    return PoseTransferParams(config, {
+        name: ad.Tensor(make(name, shape, scale), requires_grad=True)
+        for name, shape, scale in _layout(config)})
 
 
 def init_params(config: PipelineConfig = PipelineConfig(), seed: int = 0,
@@ -170,79 +125,57 @@ def init_params(config: PipelineConfig = PipelineConfig(), seed: int = 0,
     pipeline initially applies the analytic source transforms unchanged.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9e3779b9]))
-    return _build_params(config, lambda shape, scale: rng.normal(0.0, scale, size=shape),
-                         zero_decoder_out)
+    dec_out = f"dec.fc{len(config.dec_hidden)}.w" if zero_decoder_out else None
+
+    def draw(name, shape, scale):
+        if scale is None or name == dec_out:
+            return np.zeros(shape)
+        return rng.normal(0.0, scale, size=shape)
+
+    return _params(config, draw)
 
 
 def empty_params(config: PipelineConfig) -> PoseTransferParams:
     """Params of ``config``'s architecture with unset arrays and no random
     draws, for a loader that overwrites every array."""
-    return _build_params(config, lambda shape, scale: np.empty(shape), True)
-
-
-def _build_params(config: PipelineConfig, draw, zero_decoder_out: bool) -> PoseTransferParams:
-    """The architecture: ``draw(shape, scale)`` makes each random weight,
-    in a fixed order; biases start at zero."""
-    c = config
-    skin_dims = (c.feature_dim,) + tuple(c.skin_hidden)
-    enc_dims = (c.feature_dim,) + tuple(c.enc_hidden)
-    skinning = SkinningPredictorParams(
-        layers=_conv_stack_params(draw, skin_dims),
-        out_w=_leaf(draw, (skin_dims[-1], c.k_parts), np.sqrt(1.0 / skin_dims[-1])),
-        out_b=ad.Tensor(np.zeros(c.k_parts), requires_grad=True),
-    )
-    encoder = EncoderParams(
-        layers=_conv_stack_params(draw, enc_dims),
-        out_w=_leaf(draw, (enc_dims[-1], c.latent), np.sqrt(1.0 / enc_dims[-1])),
-        out_b=ad.Tensor(np.zeros(c.latent), requires_grad=True),
-        conv_w=_leaf(draw, (c.latent, c.latent), np.sqrt(1.0 / c.latent)),
-        conv_b=ad.Tensor(np.zeros(c.latent), requires_grad=True),
-    )
-    dec_dims = (2 * c.latent + 12,) + tuple(c.dec_hidden) + (9,)
-    dec_layers = []
-    for i, (d_in, d_out) in enumerate(zip(dec_dims[:-1], dec_dims[1:])):
-        last = i == len(dec_dims) - 2
-        if last and zero_decoder_out:
-            w = ad.Tensor(np.zeros((d_in, d_out)), requires_grad=True)
-        else:
-            w = _leaf(draw, (d_in, d_out), np.sqrt(2.0 / d_in))
-        dec_layers.append((w, ad.Tensor(np.zeros(d_out), requires_grad=True)))
-    decoder = DecoderParams(layers=dec_layers)
-    return PoseTransferParams(config=config, skinning=skinning,
-                              encoder=encoder, decoder=decoder)
+    return _params(config, lambda name, shape, scale: np.empty(shape))
 
 
 # ---- forward passes ----------------------------------------------------
 
-def _conv_stack(x, graph: GraphOperator, layers, leak: float):
+def _conv_stack(x, graph: GraphOperator, params: PoseTransferParams, prefix: str,
+                depth: int) -> ad.Tensor:
+    """``depth`` graph convolutions h' = leaky(A h W_neigh + h W_self + b),
+    A the graph operator (Kipf & Welling, ICLR 2017, with a separate self
+    weight), with the weights stored under ``prefix``."""
     h = ad.as_tensor(x)
-    for layer in layers:
+    for i in range(depth):
+        layer = f"{prefix}.conv{i}."
         h = ad.leaky_relu(
-            ad.sparse_matmul(graph.matrix, h) @ layer.w_neigh
-            + h @ layer.w_self + layer.bias,
-            alpha=leak,
+            ad.sparse_matmul(graph.matrix, h) @ params[layer + "w_neigh"]
+            + h @ params[layer + "w_self"] + params[layer + "bias"],
+            alpha=params.config.leak,
         )
     return h
 
 
-def predict_skinning(features, graph: GraphOperator, params: SkinningPredictorParams,
-                     leak: float = 0.2) -> ad.Tensor:
+def predict_skinning(features, graph: GraphOperator,
+                     params: PoseTransferParams) -> ad.Tensor:
     """(N, 6) features -> (N, K) row-stochastic skinning weights."""
-    h = _conv_stack(features, graph, params.layers, leak)
-    return ad.softmax_rows(h @ params.out_w + params.out_b)
+    h = _conv_stack(features, graph, params, "skin", len(params.config.skin_hidden))
+    return ad.softmax_rows(h @ params["skin.out.w"] + params["skin.out.b"])
 
 
-def encode(features, graph: GraphOperator, params: EncoderParams,
-           leak: float = 0.2) -> ad.Tensor:
+def encode(features, graph: GraphOperator, params: PoseTransferParams) -> ad.Tensor:
     """(N, 6) features -> (N, C) per-vertex latent."""
-    h = _conv_stack(features, graph, params.layers, leak)
-    return h @ params.out_w + params.out_b
+    h = _conv_stack(features, graph, params, "enc", len(params.config.enc_hidden))
+    return h @ params["enc.out.w"] + params["enc.out.b"]
 
 
-def attend(w, y, params: EncoderParams) -> ad.Tensor:
+def attend(w, y, params: PoseTransferParams) -> ad.Tensor:
     """Aggregate per-vertex latents into per-part latents: conv1d(W^T Y)."""
     pooled = ad.transpose(ad.as_tensor(w)) @ ad.as_tensor(y)
-    return pooled @ params.conv_w + params.conv_b
+    return pooled @ params["enc.attend.w"] + params["enc.attend.b"]
 
 
 def rotations_from_6d(raw: ad.Tensor) -> ad.Tensor:
@@ -264,8 +197,7 @@ def rotations_from_6d(raw: ad.Tensor) -> ad.Tensor:
 
 
 def decode_transforms(z_target, z_pose_delta, t_source: list[RigidTransform],
-                      params: DecoderParams,
-                      leak: float = 0.2) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
+                      params: PoseTransferParams) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
     """Predict target part transforms as residuals on the source transforms.
 
     Returns (rotations, translations, flat): the (K, 3, 3) rotations, the
@@ -276,10 +208,11 @@ def decode_transforms(z_target, z_pose_delta, t_source: list[RigidTransform],
     k = t_src.shape[0]
     h = ad.concat([ad.as_tensor(z_target), ad.as_tensor(z_pose_delta),
                    ad.constant(t_src)], axis=1)
-    for i, (w, b) in enumerate(params.layers):
-        h = h @ w + b
-        if i < len(params.layers) - 1:
-            h = ad.leaky_relu(h, alpha=leak)
+    n_layers = len(params.config.dec_hidden) + 1
+    for i in range(n_layers):
+        h = h @ params[f"dec.fc{i}.w"] + params[f"dec.fc{i}.b"]
+        if i < n_layers - 1:
+            h = ad.leaky_relu(h, alpha=params.config.leak)
     rotations = ad.einsum("kij,kjl->kil", rotations_from_6d(h[:, 0:6]),
                           ad.constant(t_src[:, :9].reshape(k, 3, 3)))
     translations = h[:, 6:9] + ad.constant(t_src[:, 9:])
@@ -364,10 +297,9 @@ class CharEncoding:
 
 
 def encode_character(ctx: CharContext, params: PoseTransferParams) -> CharEncoding:
-    leak = params.config.leak
-    w = predict_skinning(ctx.features, ctx.graph, params.skinning, leak)
-    y = encode(ctx.features, ctx.graph, params.encoder, leak)
-    return CharEncoding(ctx=ctx, w=w, z=attend(w, y, params.encoder))
+    w = predict_skinning(ctx.features, ctx.graph, params)
+    y = encode(ctx.features, ctx.graph, params)
+    return CharEncoding(ctx=ctx, w=w, z=attend(w, y, params))
 
 
 def source_transforms(source: CharEncoding, posed_vertices) -> list[RigidTransform]:
@@ -404,7 +336,6 @@ def transfer_pose_graph(posed_source_vertices, source: CharEncoding, target: Cha
     predicted target back in).  The analytic source transforms enter as
     constants; pass ``t_source`` to pin them (gradient checking does).
     """
-    leak = params.config.leak
     src, tgt = source.ctx, target.ctx
     if isinstance(posed_source_vertices, ad.Tensor):
         posed_feats = vertex_features_tensor(posed_source_vertices, src.mesh.faces)
@@ -413,13 +344,13 @@ def transfer_pose_graph(posed_source_vertices, source: CharEncoding, target: Cha
         posed_np = np.asarray(posed_source_vertices, dtype=np.float64)
         posed_feats = ad.constant(vertex_features(src.mesh.with_vertices(posed_np)))
 
-    y_posed = encode(posed_feats, src.graph, params.encoder, leak)
-    z_posed = attend(source.w, y_posed, params.encoder)
+    y_posed = encode(posed_feats, src.graph, params)
+    z_posed = attend(source.w, y_posed, params)
     if t_source is None:
         t_source = source_transforms(source, posed_np)
 
     rotations, translations, t_flat = decode_transforms(
-        target.z, z_posed - source.z, t_source, params.decoder, leak)
+        target.z, z_posed - source.z, t_source, params)
 
     target_centers = centers_tensor(target.w, tgt.norm_vertices)
     deformed = lbs_tensor(tgt.norm_vertices, target.w, rotations,

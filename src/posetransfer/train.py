@@ -239,15 +239,19 @@ def save_checkpoint(path, params: PoseTransferParams, opt: Adam | None,
 def load_checkpoint(path):
     """Returns (params, optimizer-or-None, step, config).
 
-    Parameter arrays round-trip bitwise through the npz container.  Every
-    array must have the name and shape the stored config's architecture
-    gives it; a mismatch raises ``CheckpointError``.
+    Parameter arrays round-trip bitwise through the npz container.  The
+    stored config must match its stored hash, and every array must have
+    the name and shape the config's architecture gives it; a mismatch
+    raises ``CheckpointError``.
     """
     with np.load(path) as data:
         config = TrainConfig(**{
             k: tuple(v) if isinstance(v, list) else v
             for k, v in json.loads(bytes(data["config_json"]).decode()).items()
         })
+        saved_hash = bytes(data["config_hash"]).decode() if "config_hash" in data else None
+        if saved_hash != config_hash(config):
+            raise CheckpointError("config_json does not match config_hash")
 
         def stored(key, like):
             if key not in data:

@@ -147,7 +147,7 @@ def test_partition_of_unity_100_random():
                                 skin_hidden=(7, 6), enc_hidden=(7, 6), dec_hidden=(8,))
         params = init_params(config, seed=i, zero_decoder_out=False)
         ctx = char_context(char.rest)
-        w = predict_skinning(ctx.features, ctx.graph, params.skinning)
+        w = predict_skinning(ctx.features, ctx.graph, params)
         validate_skinning(w.data, char.rest.n_vertices)
         worst = max(worst, float(np.abs(w.data.sum(axis=1) - 1.0).max()))
     ok = worst <= 1e-6
@@ -240,7 +240,7 @@ def test_consistency_protocol(default_dataset, seeded_runs):
     pred_labels = []
     for ch in held:
         ctx = char_context(ch.rest)
-        w = predict_skinning(ctx.features, ctx.graph, params.skinning)
+        w = predict_skinning(ctx.features, ctx.graph, params)
         pred_labels.append(w.data.argmax(axis=1))
     trained = consistency_scores(pred_labels, gt_labels)
 

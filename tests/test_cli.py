@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,43 @@ def test_transfer_missing_input_is_user_error(workspace, tmp_path, capsys):
                  "--target-rest", str(workspace / "data" / "paired01_rest.obj"),
                  "--out", str(tmp_path / "o.obj")]) == EXIT_USER
     assert "no such file" in capsys.readouterr().err
+
+
+def test_transfer_non_finite_obj_is_user_error(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    lines = (data / "paired01_rest.obj").read_text().splitlines()
+    first_v = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    lines[first_v] = "v nan 0 0"
+    target = tmp_path / "target.obj"
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["transfer", "--ckpt", str(workspace / "run" / "ckpt_final.npz"),
+                 "--source-posed", str(data / "paired00_pose0.obj"),
+                 "--source-rest", str(data / "paired00_rest.obj"),
+                 "--target-rest", str(target),
+                 "--out", str(tmp_path / "o.obj")]) == EXIT_USER
+    err = capsys.readouterr().err
+    assert f"line {first_v + 1}: non-finite vertex coordinate" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_tampered_config_checkpoint_is_user_error(workspace, tmp_path, capsys):
+    with np.load(workspace / "run" / "ckpt_final.npz") as data:
+        arrays = dict(data)
+    config = json.loads(bytes(arrays["config_json"]).decode())
+    config["lr"] = 5.0
+    arrays["config_json"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+    tampered = tmp_path / "tampered.npz"
+    np.savez(tampered, **arrays)
+    data = workspace / "data"
+    assert main(["transfer", "--ckpt", str(tampered),
+                 "--source-posed", str(data / "paired00_pose0.obj"),
+                 "--source-rest", str(data / "paired00_rest.obj"),
+                 "--target-rest", str(data / "paired01_rest.obj"),
+                 "--out", str(tmp_path / "o.obj")]) == EXIT_USER
+    err = capsys.readouterr().err
+    assert "config_hash" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o.obj").exists()
 
 
 def test_eval_writes_report(workspace, tmp_path):

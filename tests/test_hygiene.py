@@ -1,13 +1,20 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and every definition in
+``src/`` is used somewhere.
 
-An AST scan of ``src/`` and ``tests/``; a name listed in a module's
-``__all__`` counts as used (it is re-exported).
+Two AST scans.  The import scan covers ``src/`` and ``tests/``; a name
+listed in a module's ``__all__`` counts as used (it is re-exported).  The
+definition scan flags a top-level function or class, or a non-dunder
+method, of ``src/`` whose name occurs nowhere in ``src/``, ``tests/`` or
+``perfbench/`` as a name, an attribute or a string constant (the
+benchmark looks its trace targets up by string).
 """
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = SRC + sorted((ROOT / "tests").rglob("*.py"))
+USERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -40,3 +47,49 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(ast.parse(path.read_text()))
              for path in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of top-level functions and classes and of
+    non-dunder methods."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return defs
+
+
+def uses(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unused_definitions(defining: dict, using: list) -> list[str]:
+    used = set().union(*(uses(tree) for tree in using))
+    return [f"{path}: {qualname}" for path, tree in defining.items()
+            for qualname, name in definitions(tree) if name not in used]
+
+
+def test_definition_scan_sees_names_attributes_and_strings():
+    tree = ast.parse("def a(): pass\ndef b(): pass\ndef c(): pass\ndef d(): pass\n"
+                     "class E:\n    def __init__(self): pass\n    def f(self): pass\n"
+                     "    def g(self): pass\n"
+                     "a()\nx.b\nTARGETS = ['c']\nE().f()\n")
+    assert unused_definitions({"m.py": tree}, [tree]) == ["m.py: d", "m.py: E.g"]
+
+
+def test_no_unused_definitions():
+    assert SRC
+    defining = {str(path.relative_to(ROOT)): ast.parse(path.read_text()) for path in SRC}
+    assert unused_definitions(defining, [ast.parse(p.read_text()) for p in USERS]) == []

@@ -82,6 +82,16 @@ def test_load_obj_parse_error_carries_line_number(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_load_obj_rejects_non_finite_coordinate(tmp_path, token):
+    p = tmp_path / "bad.obj"
+    p.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 {token}\nf 1 2 3\nv 0 x 0\n")
+    with pytest.raises(ObjParseError) as exc:
+        load_obj(p)
+    assert exc.value.line == 3
+    assert str(exc.value) == f"line 3: non-finite vertex coordinate {token!r}"
+
+
 def test_obj_round_trip(tmp_path, tetrahedron):
     rng = np.random.default_rng(0)
     mesh = tetrahedron.with_vertices(rng.normal(size=(4, 3)))

@@ -34,17 +34,17 @@ def _permuted(mesh, perm):
 
 def test_predicted_skinning_partition_of_unity(small_char, tiny_params):
     ctx = char_context(small_char.rest)
-    w = predict_skinning(ctx.features, ctx.graph, tiny_params.skinning)
+    w = predict_skinning(ctx.features, ctx.graph, tiny_params)
     sums = w.data.sum(axis=1)
     assert np.abs(sums - 1.0).max() < 1e-6
     assert w.data.min() >= 0.0
 
 
 def test_zero_output_layer_gives_uniform_rows(small_char, tiny_params):
-    tiny_params.skinning.out_w.data[:] = 0.0
-    tiny_params.skinning.out_b.data[:] = 0.0
+    tiny_params["skin.out.w"].data[:] = 0.0
+    tiny_params["skin.out.b"].data[:] = 0.0
     ctx = char_context(small_char.rest)
-    w = predict_skinning(ctx.features, ctx.graph, tiny_params.skinning)
+    w = predict_skinning(ctx.features, ctx.graph, tiny_params)
     k = tiny_params.config.k_parts
     assert np.abs(w.data - 1.0 / k).max() < 1e-12
 
@@ -55,8 +55,8 @@ def test_skinning_permutation_equivariance(small_char, tiny_params):
     perm = rng.permutation(mesh.n_vertices)
     permuted = _permuted(mesh, perm)
     ctx0, ctx1 = char_context(mesh), char_context(permuted)
-    w0 = predict_skinning(ctx0.features, ctx0.graph, tiny_params.skinning).data
-    w1 = predict_skinning(ctx1.features, ctx1.graph, tiny_params.skinning).data
+    w0 = predict_skinning(ctx0.features, ctx0.graph, tiny_params).data
+    w1 = predict_skinning(ctx1.features, ctx1.graph, tiny_params).data
     assert np.abs(w1 - w0[perm]).max() < 1e-9
 
 
@@ -64,14 +64,11 @@ def test_skinning_permutation_equivariance(small_char, tiny_params):
 
 def test_encode_zero_parameters_gives_zero(small_char, tiny_config):
     params = init_params(tiny_config, seed=0)
-    for layer in params.encoder.layers:
-        layer.w_neigh.data[:] = 0.0
-        layer.w_self.data[:] = 0.0
-        layer.bias.data[:] = 0.0
-    params.encoder.out_w.data[:] = 0.0
-    params.encoder.out_b.data[:] = 0.0
+    for name, t in params.named_tensors():
+        if name.startswith(("enc.conv", "enc.out.")):
+            t.data[:] = 0.0
     ctx = char_context(small_char.rest)
-    y = encode(ctx.features, ctx.graph, params.encoder)
+    y = encode(ctx.features, ctx.graph, params)
     assert (y.data == 0.0).all()
 
 
@@ -80,8 +77,8 @@ def test_encode_permutation_equivariance(small_char, tiny_params):
     perm = np.random.default_rng(1).permutation(mesh.n_vertices)
     permuted = _permuted(mesh, perm)
     ctx0, ctx1 = char_context(mesh), char_context(permuted)
-    y0 = encode(ctx0.features, ctx0.graph, tiny_params.encoder).data
-    y1 = encode(ctx1.features, ctx1.graph, tiny_params.encoder).data
+    y0 = encode(ctx0.features, ctx0.graph, tiny_params).data
+    y1 = encode(ctx1.features, ctx1.graph, tiny_params).data
     assert np.abs(y1 - y0[perm]).max() < 1e-9
 
 
@@ -94,9 +91,9 @@ def test_attend_one_hot_selects_latent_row(tiny_params):
     w[:, 0] = 1.0
     w[4, 0] = 0.0
     w[4, 2] = 1.0  # part 2 owns exactly vertex 4
-    tiny_params.encoder.conv_w.data[:] = np.eye(c)
-    tiny_params.encoder.conv_b.data[:] = 0.0
-    z = attend(ad.constant(w), ad.constant(y), tiny_params.encoder)
+    tiny_params["enc.attend.w"].data[:] = np.eye(c)
+    tiny_params["enc.attend.b"].data[:] = 0.0
+    z = attend(ad.constant(w), ad.constant(y), tiny_params)
     assert np.abs(z.data[2] - y[4]).max() < 1e-12
 
 
@@ -106,9 +103,9 @@ def test_attend_uniform_weights_pool_equally(tiny_params):
     rng = np.random.default_rng(3)
     y = rng.normal(size=(6, c))
     w = np.full((6, k), 1.0 / k)
-    tiny_params.encoder.conv_w.data[:] = np.eye(c)
-    tiny_params.encoder.conv_b.data[:] = 0.0
-    z = attend(ad.constant(w), ad.constant(y), tiny_params.encoder)
+    tiny_params["enc.attend.w"].data[:] = np.eye(c)
+    tiny_params["enc.attend.b"].data[:] = 0.0
+    z = attend(ad.constant(w), ad.constant(y), tiny_params)
     assert np.abs(z.data - z.data[0]).max() < 1e-12
 
 
@@ -133,12 +130,12 @@ def test_decoder_zero_output_reproduces_source_transforms(tiny_params):
     c = tiny_params.config.latent
     t_source = [RigidTransform(rotation=random_rotation(rng),
                                translation=rng.normal(size=3)) for _ in range(k)]
-    w, b = tiny_params.decoder.layers[-1]
+    w, b = tiny_params["dec.fc1.w"], tiny_params["dec.fc1.b"]
     w.data[:] = 0.0
     b.data[:] = 0.0
     rots, trans, flat = decode_transforms(
         ad.constant(rng.normal(size=(k, c))), ad.constant(rng.normal(size=(k, c))),
-        t_source, tiny_params.decoder)
+        t_source, tiny_params)
     assert np.abs(rots.data - [tf.rotation for tf in t_source]).max() < 1e-12
     assert np.abs(trans.data - [tf.translation for tf in t_source]).max() < 1e-12
     assert np.abs(flat.data - [tf.flat() for tf in t_source]).max() < 1e-12
@@ -151,7 +148,7 @@ def test_decoded_rotations_valid_for_random_params(tiny_params):
     t_source = [RigidTransform.identity(rng.normal(size=3)) for _ in range(k)]
     rots, _, _ = decode_transforms(
         ad.constant(rng.normal(size=(k, c))), ad.constant(rng.normal(size=(k, c))),
-        t_source, tiny_params.decoder)
+        t_source, tiny_params)
     m = rots.data
     assert np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max() < 1e-6
     assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-6
@@ -291,3 +288,26 @@ def test_empty_params_have_the_init_names_and_shapes(tiny_config):
     drawn = [(n, t.shape, t.requires_grad) for n, t in init_params(tiny_config).named_tensors()]
     empty = [(n, t.shape, t.requires_grad) for n, t in empty_params(tiny_config).named_tensors()]
     assert empty == drawn
+
+
+def test_init_params_layout_is_pinned(tiny_config):
+    """Checkpoint names, their order and the seeded draws are a format."""
+    params = init_params(tiny_config, seed=0)
+    assert [n for n, _ in params.named_tensors()] == [
+        "skin.conv0.w_neigh", "skin.conv0.w_self", "skin.conv0.bias",
+        "skin.conv1.w_neigh", "skin.conv1.w_self", "skin.conv1.bias",
+        "skin.out.w", "skin.out.b",
+        "enc.conv0.w_neigh", "enc.conv0.w_self", "enc.conv0.bias",
+        "enc.conv1.w_neigh", "enc.conv1.w_self", "enc.conv1.bias",
+        "enc.out.w", "enc.out.b", "enc.attend.w", "enc.attend.b",
+        "dec.fc0.w", "dec.fc0.b", "dec.fc1.w", "dec.fc1.b",
+    ]
+    assert params["dec.fc0.w"].data[0].tolist() == [
+        0.08880176887212352, 0.44616555198212, 0.019164913353116073,
+        0.5850620819413805, 0.2758821721514294, -0.16710088056090322,
+        -0.29485994340264965, -0.13858645952237092]
+    assert params["skin.conv1.w_self"].data[0].tolist() == [
+        0.6277114151448795, 0.3950641539369304, -0.31691713184036596,
+        -0.085397413650547, 0.2820840316600393, 0.16759710137289294]
+    assert params["dec.fc1.w"].shape == (8, 9) and not params["dec.fc1.w"].data.any()
+    assert params["dec.fc0.w"].shape == (2 * 6 + 12, 8)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,11 +197,24 @@ def test_checkpoint_round_trip_is_bitwise(tiny_dataset, tmp_path):
 
 def test_checkpoint_with_wrong_shape_parameter_is_rejected(tmp_path):
     params = init_params(TINY.pipeline_config(), seed=TINY.seed)
-    dec = params.decoder.layers[0][0]
+    dec = params["dec.fc0.w"]
     dec.data = dec.data[:, :5]
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, None, 0, TINY)
     with pytest.raises(CheckpointError, match="dec.fc0.w"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_edited_config_is_rejected(tmp_path):
+    params = init_params(TINY.pipeline_config(), seed=TINY.seed)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, None, 0, TINY)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["config_json"] = np.frombuffer(json.dumps(
+        dataclasses.asdict(dataclasses.replace(TINY, lr=5.0))).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match="config_hash"):
         load_checkpoint(path)
 
 
