@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, train, transfer, eval, gradcheck, skinning.
 Exit codes: 0 success, 2 user/config error, 3 I/O error, 4 numerical-
-check failure.
+check failure; ``main`` maps each error type to one (``EXIT_CODES``).
 """
 from __future__ import annotations
 
@@ -13,10 +13,40 @@ import sys
 
 import numpy as np
 
+from .articulation import ArticulationError, save_skinning, save_transforms
+from .autodiff import AutodiffError
+from .evaluation import consistency_scores, pmd, save_part_colored_obj, write_report
+from .gradsuite import run_gradient_suite
+from .mesh import MeshError, load_obj, save_obj
+from .networks import (
+    char_context,
+    encode_character,
+    pose_transfer,
+    predict_skinning,
+    transfer_pose_graph,
+)
+from .synth import DatasetConfig, SynthError, load_dataset, make_dataset, save_dataset
+from .train import (
+    CheckpointError,
+    ConfigError,
+    fit,
+    load_checkpoint,
+    parse_config,
+    read_config_file,
+)
+
 EXIT_OK = 0
 EXIT_USER = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+#: Exit code of each error type that ``main`` reports as one ``error:`` line
+#: (a ``CliError`` carries its own); any other exception is a bug and propagates.
+EXIT_CODES = {
+    **dict.fromkeys((ConfigError, CheckpointError, MeshError, ArticulationError,
+                     SynthError, AutodiffError), EXIT_USER),
+    OSError: EXIT_IO,
+}
 
 
 class CliError(Exception):
@@ -75,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_mesh(path):
-    from .mesh import MeshError, load_obj
-
     if not os.path.isfile(path):
         raise CliError(f"no such file: {path}", EXIT_USER)
     try:
@@ -85,40 +113,14 @@ def _load_mesh(path):
         raise CliError(f"{path}: {exc}", EXIT_USER)
 
 
-def _load_ckpt(path):
-    from .train import load_checkpoint
-
-    if not os.path.isfile(path):
-        raise CliError(f"no such checkpoint: {path}", EXIT_USER)
-    try:
-        return load_checkpoint(path)
-    except Exception as exc:
-        raise CliError(f"cannot load checkpoint {path}: {exc}", EXIT_USER)
-
-
 def cmd_gen_data(args) -> int:
-    from .synth import DatasetConfig, make_dataset, save_dataset
-    from .train import ConfigError, read_config_file
-
     values = {}
     if args.config:
-        try:
-            values = read_config_file(args.config, dataclasses.asdict(DatasetConfig()))
-        except ConfigError as exc:
-            raise CliError(str(exc), EXIT_USER)
-        except OSError as exc:
-            raise CliError(f"cannot read {args.config}: {exc}", EXIT_IO)
+        values = read_config_file(args.config, dataclasses.asdict(DatasetConfig()))
     if args.seed is not None:
         values["seed"] = args.seed
-    try:
-        config = DatasetConfig(**values)
-        dataset = make_dataset(config)
-    except (ValueError, ConfigError) as exc:
-        raise CliError(str(exc), EXIT_USER)
-    try:
-        save_dataset(dataset, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write dataset: {exc}", EXIT_IO)
+    dataset = make_dataset(DatasetConfig(**values))
+    save_dataset(dataset, args.out)
     n = len(dataset.all_characters)
     print(f"wrote {n} characters to {args.out} "
           f"({len(dataset.paired)} paired, {len(dataset.static)} static, "
@@ -127,9 +129,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .synth import SynthError, load_dataset
-    from .train import ConfigError, fit, parse_config
-
     overrides = {}
     if args.steps is not None:
         overrides["steps"] = args.steps
@@ -138,65 +137,37 @@ def cmd_train(args) -> int:
     for name in args.ablate:
         overrides[{"edge": "use_edge", "pseudo": "use_pseudo",
                    "skinning": "use_skin"}[name]] = False
-    try:
-        config = parse_config(args.config, overrides=overrides)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_USER)
-    try:
-        dataset = load_dataset(args.data)
-    except (OSError, SynthError) as exc:
-        raise CliError(f"cannot load dataset: {exc}", EXIT_USER)
+    config = parse_config(args.config, overrides=overrides)
+    dataset = load_dataset(args.data)
 
     def log(row):
         if not args.quiet:
             print(f"step {row['step']:5d} [{row['mode']:8s}] "
                   f"total {row['total']:.5f} pmd {row['pmd_probe']:.3f}")
 
-    try:
-        result = fit(dataset, config, out_dir=args.out,
-                     resume_from=args.resume, log=log)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_USER)
-    except OSError as exc:
-        raise CliError(f"I/O failure during training: {exc}", EXIT_IO)
+    result = fit(dataset, config, out_dir=args.out, resume_from=args.resume, log=log)
     print(f"final checkpoint: {result.final_checkpoint}")
     return EXIT_OK
 
 
 def cmd_transfer(args) -> int:
-    from .articulation import save_skinning, save_transforms
-    from .mesh import save_obj
-    from .networks import pose_transfer
-
-    params, _, _, _ = _load_ckpt(args.ckpt)
+    params = load_checkpoint(args.ckpt)[0]
     source_posed = _load_mesh(args.source_posed)
     source_rest = _load_mesh(args.source_rest)
     target_rest = _load_mesh(args.target_rest)
-    if source_posed.n_vertices != source_rest.n_vertices:
-        raise CliError("posed and rest source meshes must share vertices", EXIT_USER)
     result = pose_transfer(source_posed, source_rest, target_rest, params)
-    try:
-        save_obj(result.mesh, args.out)
-        if args.dump_skinning:
-            save_skinning(result.w_target, args.dump_skinning)
-        if args.dump_transforms:
-            save_transforms(result.transforms, args.dump_transforms)
-    except OSError as exc:
-        raise CliError(f"cannot write output: {exc}", EXIT_IO)
+    save_obj(result.mesh, args.out)
+    if args.dump_skinning:
+        save_skinning(result.w_target, args.dump_skinning)
+    if args.dump_transforms:
+        save_transforms(result.transforms, args.dump_transforms)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import consistency_scores, pmd, write_report
-    from .networks import char_context, encode_character, transfer_pose_graph
-    from .synth import SynthError, load_dataset
-
-    params = _load_ckpt(args.ckpt)[0].frozen()
-    try:
-        dataset = load_dataset(args.data)
-    except (OSError, SynthError) as exc:
-        raise CliError(f"cannot load dataset: {exc}", EXIT_USER)
+    params = load_checkpoint(args.ckpt)[0].frozen()
+    dataset = load_dataset(args.data)
     # each character is encoded once; every (source, target, pose) triple
     # is one transfer step between two encodings
     splits = [(split, chars, [encode_character(char_context(ch.rest), params)
@@ -228,18 +199,15 @@ def cmd_eval(args) -> int:
         rows.append(("consistency_pred_to_gt", split, report.pred_to_gt))
         rows.append(("consistency_gt_to_pred", split, report.gt_to_pred))
 
-    try:
-        write_report(args.report, rows)
-    except OSError as exc:
-        raise CliError(f"cannot write report: {exc}", EXIT_IO)
+    write_report(args.report, rows)
     for metric, split, value in rows:
         print(f"{metric:26s} {split:8s} {value:.4f}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradsuite import run_gradient_suite
-
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_USER)
     reports = run_gradient_suite(seed=args.seed)
     failed = [name for name, rep in reports if not rep.passed]
     for name, rep in reports:
@@ -254,18 +222,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_skinning(args) -> int:
-    from .evaluation import save_part_colored_obj
-    from .networks import char_context, predict_skinning
-
-    params = _load_ckpt(args.ckpt)[0].frozen()
+    params = load_checkpoint(args.ckpt)[0].frozen()
     mesh = _load_mesh(args.mesh)
     ctx = char_context(mesh)
     w = predict_skinning(ctx.features, ctx.graph, params)
     labels = np.argmax(w.data, axis=1)
-    try:
-        save_part_colored_obj(mesh, labels, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write output: {exc}", EXIT_IO)
+    save_part_colored_obj(mesh, labels, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -281,13 +243,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except CliError as exc:
+    except (CliError, *EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
 
 
 if __name__ == "__main__":

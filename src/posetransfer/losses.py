@@ -42,7 +42,8 @@ class LossWeights:
     def __post_init__(self):
         for name in ("rec", "trans", "cyc", "skin", "edge"):
             if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be non-negative")
+                raise ValueError(f"loss weight {name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
 
 
 def _mean_l1(a, b) -> ad.Tensor:

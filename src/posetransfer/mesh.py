@@ -84,8 +84,8 @@ def load_obj(path) -> Mesh:
     else is skipped; normals are always recomputed.
 
     Lines are split once and collected; coordinates and indices are then
-    converted and checked in bulk.  A file with errors raises for its
-    first bad line, found by ``_first_bad_line``.
+    converted and checked in bulk.  Bytes that are not UTF-8 raise for
+    their line; other errors for the first bad line (``_first_bad_line``).
     """
     coords: list[str] = []  # 3 tokens per vertex line
     v_lines: list[int] = []
@@ -94,27 +94,33 @@ def load_obj(path) -> Mesh:
     f_sizes: list[int] = []
     f_seen: list[int] = []  # vertices seen before each face line
     shape_error = None
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            tag = tokens[0]
-            if tag == "v":
-                if len(tokens) < 4:
-                    shape_error = ObjParseError("vertex needs 3 coordinates", lineno)
-                    break
-                coords += tokens[1:4]
-                v_lines.append(lineno)
-            elif tag == "f":
-                if len(tokens) < 4:
-                    shape_error = ObjParseError("face needs at least 3 indices", lineno)
-                    break
-                heads += [t.split("/")[0] for t in tokens[1:]] if "/" in raw else tokens[1:]
-                f_lines.append(lineno)
-                f_sizes.append(len(tokens) - 1)
-                f_seen.append(len(v_lines))
-            # anything else (vn, vt, o, g, s, mtllib, ...) is ignored
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                tokens = raw.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                tag = tokens[0]
+                if tag == "v":
+                    if len(tokens) < 4:
+                        shape_error = ObjParseError("vertex needs 3 coordinates", lineno)
+                        break
+                    coords += tokens[1:4]
+                    v_lines.append(lineno)
+                elif tag == "f":
+                    if len(tokens) < 4:
+                        shape_error = ObjParseError("face needs at least 3 indices", lineno)
+                        break
+                    heads += [t.split("/")[0] for t in tokens[1:]] if "/" in raw else tokens[1:]
+                    f_lines.append(lineno)
+                    f_sizes.append(len(tokens) - 1)
+                    f_seen.append(len(v_lines))
+                # anything else (vn, vt, o, g, s, mtllib, ...) is ignored
+    except UnicodeDecodeError as exc:  # exc.object is the chunk of the file that failed
+        with open(path, "rb") as fh:
+            data = fh.read()
+        line = data.count(b"\n", 0, data.find(exc.object) + exc.start) + 1
+        raise ObjParseError(f"not UTF-8 text ({exc.reason})", line) from None
     try:
         vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
         coords_ok = bool(np.isfinite(vertices).all())

@@ -33,6 +33,7 @@ from .articulation import (
 from .mesh import (
     GraphOperator,
     Mesh,
+    MeshError,
     graph_operator,
     normalize_vertices,
     vertex_features,
@@ -381,7 +382,8 @@ def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
     units plus the predicted skinnings and part transforms.  Runs on
     ``params.frozen()``, so it records no autodiff tape."""
     if source_posed.n_vertices != source_rest.n_vertices:
-        raise ValueError("posed and rest source must share vertices")
+        raise MeshError(f"posed and rest source must share vertices, got "
+                        f"{source_posed.n_vertices} and {source_rest.n_vertices}")
     params = params.frozen()
     src = encode_character(char_context(source_rest), params)
     tgt = encode_character(char_context(target_rest), params)

@@ -334,6 +334,10 @@ class DatasetConfig:
     segments_per_limb: int = 2
     torso_segments: int = 2
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise SynthError(f"seed must be non-negative, got {self.seed}")
+
 
 @dataclass
 class Dataset:
@@ -434,7 +438,8 @@ def load_dataset(data_dir) -> Dataset:
     """Reload a saved dataset.
 
     The generator-internal joint tree is not persisted; loaded samples
-    carry posed meshes without their PoseSpec.
+    carry posed meshes without their PoseSpec.  A file that cannot be
+    read or parsed raises ``SynthError`` naming it and its manifest line.
     """
     import os
 
@@ -444,26 +449,41 @@ def load_dataset(data_dir) -> Dataset:
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest):
         raise SynthError(f"no {MANIFEST_NAME} in {data_dir}")
+
+    def read(where, fname, loader):
+        try:
+            return loader(os.path.join(data_dir, fname))
+        except (OSError, ValueError) as exc:  # also MeshError, ArticulationError, bad UTF-8
+            raise SynthError(f"{where}{fname}: {exc}") from exc
+
     splits = {"paired": [], "static": [], "held": []}
-    with open(manifest) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            cid, split, pose_field = line.split("\t")
-            if split not in splits:
-                raise SynthError(f"unknown split {split!r} in manifest")
-            rest = load_obj(os.path.join(data_dir, f"{cid}_rest.obj"))
-            w = load_skinning(os.path.join(data_dir, f"{cid}_skinning.txt"))
-            with open(os.path.join(data_dir, f"{cid}_parts.txt")) as pf:
-                part_names = [l.strip() for l in pf if l.strip()]
-            poses = []
-            if pose_field != "-":
-                for fname in pose_field.split(","):
-                    poses.append((None, load_obj(os.path.join(data_dir, fname))))
-            sample = CharacterSample(
-                spec=CharacterSpec(seed=0), rest=rest, gt_skinning=w,
-                part_names=part_names, segments=[], poses=poses)
-            splits[split].append(sample)
+    for lineno, line in enumerate(read(f"{data_dir}: ", MANIFEST_NAME, _read_lines), start=1):
+        if not line:
+            continue
+        where = f"{manifest}:{lineno}: "
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[1] not in splits:
+            raise SynthError(f"{where}expected 'id<TAB>{'|'.join(splits)}<TAB>pose-files'")
+        cid, split, pose_field = fields
+        rest = read(where, f"{cid}_rest.obj", load_obj)
+        w = read(where, f"{cid}_skinning.txt", load_skinning)
+        part_names = [name for name in read(where, f"{cid}_parts.txt", _read_lines) if name]
+        poses = [(None, read(where, fname, load_obj))
+                 for fname in ([] if pose_field == "-" else pose_field.split(","))]
+        if len(w) != rest.n_vertices or any(m.n_vertices != rest.n_vertices for _, m in poses):
+            raise SynthError(f"{where}skinning and poses of {cid} must have the "
+                             f"{rest.n_vertices} vertices of its rest mesh")
+        splits[split].append(CharacterSample(
+            spec=CharacterSpec(seed=0), rest=rest, gt_skinning=w,
+            part_names=part_names, segments=[], poses=poses))
+    for split in ("paired", "held"):  # posed splits share one pose list
+        if len({len(sample.poses) for sample in splits[split]}) > 1:
+            raise SynthError(f"{manifest}: {split} characters differ in pose count")
     return Dataset(config=DatasetConfig(), paired=splits["paired"],
                    static=splits["static"], held=splits["held"])
+
+
+def _read_lines(path) -> list[str]:
+    """Every line of a text file, stripped."""
+    with open(path) as fh:
+        return [line.strip() for line in fh]

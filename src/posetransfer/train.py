@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class ConfigError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint's arrays do not match its own config."""
+    """A checkpoint is missing, is not a checkpoint, or mismatches its config."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,12 @@ class TrainConfig:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if not 0.0 <= self.lr_floor <= 1.0:
             raise ConfigError("lr_floor must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        try:
+            self.loss_weights()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def lr_at(self, step: int) -> float:
         """Learning rate for a given step under the configured schedule."""
@@ -142,10 +149,11 @@ def read_config_file(path, defaults: dict) -> dict:
     coerced to the types in ``defaults``.
 
     A malformed line, an unknown key or a bad value raises
-    ``ConfigError`` naming ``path:line``; ``OSError`` propagates.
+    ``ConfigError`` naming ``path:line``; bytes that are not UTF-8 read
+    as U+FFFD and fail the same way.  ``OSError`` propagates.
     """
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -174,10 +182,7 @@ def parse_config(path, base: TrainConfig | None = None,
             raise ConfigError(f"cannot read config {path}: {exc}")
     if overrides:
         merged.update(overrides)
-    try:
-        return TrainConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    return TrainConfig(**merged)
 
 
 def config_hash(config: TrainConfig) -> str:
@@ -241,38 +246,41 @@ def load_checkpoint(path):
 
     Parameter arrays round-trip bitwise through the npz container.  The
     stored config must match its stored hash, and every array must have
-    the name and shape the config's architecture gives it; a mismatch
-    raises ``CheckpointError``.
+    the name and shape the config's architecture gives it.  Any other
+    file raises ``CheckpointError`` naming ``path``; ``OSError`` propagates.
     """
-    with np.load(path) as data:
-        config = TrainConfig(**{
-            k: tuple(v) if isinstance(v, list) else v
-            for k, v in json.loads(bytes(data["config_json"]).decode()).items()
-        })
-        saved_hash = bytes(data["config_hash"]).decode() if "config_hash" in data else None
-        if saved_hash != config_hash(config):
-            raise CheckpointError("config_json does not match config_hash")
+    if not os.path.isfile(path):
+        raise CheckpointError(f"no such checkpoint: {path}")
+    try:
+        with np.load(path) as data:
+            config = TrainConfig(**{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in dict(json.loads(bytes(data["config_json"]).decode())).items()
+            })
+            saved_hash = bytes(data["config_hash"]).decode() if "config_hash" in data else None
+            if saved_hash != config_hash(config):
+                raise CheckpointError("config_json does not match config_hash")
 
-        def stored(key, like):
-            if key not in data:
-                raise CheckpointError(f"missing array {key}")
-            array = data[key]
-            if array.shape != like.shape:
-                raise CheckpointError(f"{key} has shape {array.shape}, "
-                                      f"the config needs {like.shape}")
-            return array
+            def stored(key, like):
+                array = data[key]  # a missing key raises KeyError
+                if array.shape != like.shape:
+                    raise CheckpointError(f"{key} has shape {array.shape}, "
+                                          f"the config needs {like.shape}")
+                return array
 
-        params = empty_params(config.pipeline_config())
-        for name, tensor in params.named_tensors():
-            tensor.data = stored(f"param/{name}", tensor.data)
-        opt = None
-        if "adam_t" in data:
-            opt = Adam.from_config(params, config)
-            opt.t = int(data["adam_t"])
-            for name in opt.m:
-                opt.m[name] = stored(f"adam_m/{name}", opt.m[name])
-                opt.v[name] = stored(f"adam_v/{name}", opt.v[name])
-        step = int(data["step"])
+            params = empty_params(config.pipeline_config())
+            for name, tensor in params.named_tensors():
+                tensor.data = stored(f"param/{name}", tensor.data)
+            opt = None
+            if "adam_t" in data:
+                opt = Adam.from_config(params, config)
+                opt.t = int(data["adam_t"])
+                for name in opt.m:
+                    opt.m[name] = stored(f"adam_m/{name}", opt.m[name])
+                    opt.v[name] = stored(f"adam_v/{name}", opt.v[name])
+            step = int(data["step"])
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
     return params, opt, step, config
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -226,3 +227,155 @@ def test_missing_checkpoint_is_user_error(workspace, tmp_path, capsys):
                  "--mesh", str(workspace / "data" / "held00_rest.obj"),
                  "--out", str(tmp_path / "o.obj")]) == EXIT_USER
     assert "no such checkpoint" in capsys.readouterr().err
+
+
+# ---- malformed inputs: one table over every subcommand -----------------
+
+def _write(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return str(path)
+
+
+def _dataset(ws, tmp, edit=None):
+    """A copy of the shared dataset, with ``edit(data_dir)`` applied."""
+    data = tmp / "data"
+    shutil.copytree(ws / "data", data)
+    if edit:
+        edit(data)
+    return str(data)
+
+
+def _corrupt_first_vertex(data, name):
+    lines = (data / name).read_text().splitlines()
+    first_v = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    lines[first_v] = "v 1 2 x"
+    (data / name).write_text("\n".join(lines) + "\n")
+
+
+def _truncated_ckpt(ws, tmp):
+    return _write(tmp / "trunc.npz", (ws / "run" / "ckpt_final.npz").read_bytes()[:500])
+
+
+def _transfer(ws, tmp, ckpt=None, posed=None, target=None, out=None):
+    data = ws / "data"
+    return ["transfer", "--ckpt", ckpt or str(ws / "run" / "ckpt_final.npz"),
+            "--source-posed", posed or str(data / "paired00_pose0.obj"),
+            "--source-rest", str(data / "paired00_rest.obj"),
+            "--target-rest", target or str(data / "paired01_rest.obj"),
+            "--out", out or str(tmp / "o.obj")]
+
+
+def _train(ws, tmp, *extra, data=None, config=None):
+    return ["train", "--data", data or str(ws / "data"),
+            "--config", config or str(ws / "train.cfg"),
+            "--out", str(tmp / "run"), "--quiet", *extra]
+
+
+def _eval(ws, tmp, ckpt=None, data=None, report=None):
+    return ["eval", "--ckpt", ckpt or str(ws / "run" / "ckpt_final.npz"),
+            "--data", data or str(ws / "data"),
+            "--report", report or str(tmp / "report.csv")]
+
+
+def _skinning(ws, tmp, mesh=None, out=None):
+    return ["skinning", "--ckpt", str(ws / "run" / "ckpt_final.npz"),
+            "--mesh", mesh or str(ws / "data" / "held00_rest.obj"),
+            "--out", out or str(tmp / "o.obj")]
+
+
+BINARY_OBJ = b"v 0 0 0\nv 1 0 0\n\xff\xfe\x00binary\n"
+TRIANGLE_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+
+#: (id, expected exit code, text the one error line must contain,
+#:  argv builder taking the shared workspace and a fresh directory)
+MALFORMED = [
+    ("gen-data-missing-config", EXIT_IO, "missing.cfg",
+     lambda ws, t: ["gen-data", "--out", str(t / "d"), "--config", str(t / "missing.cfg")]),
+    ("gen-data-negative-seed", EXIT_USER, "seed",
+     lambda ws, t: ["gen-data", "--out", str(t / "d"), "--seed", "-1"]),
+    ("gen-data-bad-value", EXIT_USER, "limb_count",
+     lambda ws, t: ["gen-data", "--out", str(t / "d"),
+                    "--config", _write(t / "d.cfg", "limb_count = 9\n")]),
+    ("gen-data-binary-config", EXIT_USER, "bin.cfg:1",
+     lambda ws, t: ["gen-data", "--out", str(t / "d"),
+                    "--config", _write(t / "bin.cfg", b"\xff\xfe\x00\x01")]),
+    ("gen-data-out-is-file", EXIT_IO, "taken",
+     lambda ws, t: ["gen-data", "--out", _write(t / "taken", "x"), "--config",
+                    str(ws / "data.cfg")]),
+    ("train-missing-config", EXIT_USER, "missing.cfg",
+     lambda ws, t: _train(ws, t, config=str(t / "missing.cfg"))),
+    ("train-binary-config", EXIT_USER, "bin.cfg:1",
+     lambda ws, t: _train(ws, t, config=_write(t / "bin.cfg", b"\xff\xfe\x00\x01"))),
+    ("train-negative-loss-weight", EXIT_USER, "loss weight rec",
+     lambda ws, t: _train(ws, t, config=_write(
+         t / "t.cfg", (ws / "train.cfg").read_text() + "lambda_rec = -1\n"))),
+    ("train-negative-seed", EXIT_USER, "seed",
+     lambda ws, t: _train(ws, t, "--seed", "-1")),
+    ("train-missing-dataset", EXIT_USER, "manifest.txt",
+     lambda ws, t: _train(ws, t, data=str(t))),
+    ("train-malformed-obj", EXIT_USER, "paired00_rest.obj",
+     lambda ws, t: _train(ws, t, data=_dataset(
+         ws, t, lambda d: _corrupt_first_vertex(d, "paired00_rest.obj")))),
+    ("train-bad-skinning", EXIT_USER, "paired01_skinning.txt",
+     lambda ws, t: _train(ws, t, data=_dataset(
+         ws, t, lambda d: _write(d / "paired01_skinning.txt", "3 2\n0.5 0.5\n")))),
+    ("train-missing-parts", EXIT_USER, "static00_parts.txt",
+     lambda ws, t: _train(ws, t, data=_dataset(
+         ws, t, lambda d: (d / "static00_parts.txt").unlink()))),
+    ("train-short-manifest-line", EXIT_USER, "manifest.txt:2",
+     lambda ws, t: _train(ws, t, data=_dataset(
+         ws, t, lambda d: _write(d / "manifest.txt", "paired00\tpaired\t-\npaired01\n")))),
+    ("train-resume-truncated", EXIT_USER, "trunc.npz",
+     lambda ws, t: _train(ws, t, "--resume", _truncated_ckpt(ws, t))),
+    ("train-resume-missing", EXIT_USER, "no such checkpoint",
+     lambda ws, t: _train(ws, t, "--resume", str(t / "nope.npz"))),
+    ("transfer-missing-ckpt", EXIT_USER, "no such checkpoint",
+     lambda ws, t: _transfer(ws, t, ckpt=str(t / "nope.npz"))),
+    ("transfer-truncated-ckpt", EXIT_USER, "trunc.npz",
+     lambda ws, t: _transfer(ws, t, ckpt=_truncated_ckpt(ws, t))),
+    ("transfer-binary-obj", EXIT_USER, "bin.obj",
+     lambda ws, t: _transfer(ws, t, target=_write(t / "bin.obj", BINARY_OBJ))),
+    ("transfer-posed-rest-mismatch", EXIT_USER, "vertices",
+     lambda ws, t: _transfer(ws, t, posed=_write(t / "tri.obj", TRIANGLE_OBJ))),
+    ("transfer-unwritable-out", EXIT_IO, "no_dir",
+     lambda ws, t: _transfer(ws, t, out=str(t / "no_dir" / "o.obj"))),
+    ("eval-missing-ckpt", EXIT_USER, "no such checkpoint",
+     lambda ws, t: _eval(ws, t, ckpt=str(t / "nope.npz"))),
+    ("eval-malformed-obj", EXIT_USER, "held01_pose1.obj",
+     lambda ws, t: _eval(ws, t, data=_dataset(
+         ws, t, lambda d: _corrupt_first_vertex(d, "held01_pose1.obj")))),
+    ("eval-pose-vertex-count", EXIT_USER, "held01",
+     lambda ws, t: _eval(ws, t, data=_dataset(
+         ws, t, lambda d: _write(d / "held01_pose1.obj", TRIANGLE_OBJ)))),
+    ("eval-unequal-pose-counts", EXIT_USER, "pose count",
+     lambda ws, t: _eval(ws, t, data=_dataset(
+         ws, t, lambda d: _write(d / "manifest.txt", (d / "manifest.txt").read_text().replace(
+             "held01_pose0.obj,held01_pose1.obj", "held01_pose0.obj"))))),
+    ("eval-unwritable-report", EXIT_IO, "no_dir",
+     lambda ws, t: _eval(ws, t, report=str(t / "no_dir" / "r.csv"))),
+    ("gradcheck-negative-seed", EXIT_USER, "--seed",
+     lambda ws, t: ["gradcheck", "--seed", "-1"]),
+    ("skinning-binary-obj", EXIT_USER, "bin.obj",
+     lambda ws, t: _skinning(ws, t, mesh=_write(t / "bin.obj", BINARY_OBJ))),
+    ("skinning-missing-mesh", EXIT_USER, "no such file",
+     lambda ws, t: _skinning(ws, t, mesh=str(t / "nope.obj"))),
+    ("skinning-unwritable-out", EXIT_IO, "no_dir",
+     lambda ws, t: _skinning(ws, t, out=str(t / "no_dir" / "o.obj"))),
+]
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_with_one_error_line(case, workspace, tmp_path, capsys):
+    _, code, named, build = case
+    argv = build(workspace, tmp_path)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert named in err[0]
+    assert _files(tmp_path) == before  # no output written

@@ -1,12 +1,15 @@
-"""Source hygiene: every imported name is used, and every definition in
-``src/`` is used somewhere.
+"""Source hygiene: every imported name is used, every definition in
+``src/`` is used somewhere, and ``src/`` never catches every exception.
 
-Two AST scans.  The import scan covers ``src/`` and ``tests/``; a name
+Three AST scans.  The import scan covers ``src/`` and ``tests/``; a name
 listed in a module's ``__all__`` counts as used (it is re-exported).  The
 definition scan flags a top-level function or class, or a non-dunder
 method, of ``src/`` whose name occurs nowhere in ``src/``, ``tests/`` or
 ``perfbench/`` as a name, an attribute or a string constant (the
-benchmark looks its trace targets up by string).
+benchmark looks its trace targets up by string).  The catch-all scan
+flags a bare ``except``, ``except Exception`` and ``except BaseException``
+in ``src/``: the CLI maps typed errors to exit codes, and a catch-all would
+turn a bug into a user error.
 """
 import ast
 import pathlib
@@ -93,3 +96,33 @@ def test_no_unused_definitions():
     assert SRC
     defining = {str(path.relative_to(ROOT)): ast.parse(path.read_text()) for path in SRC}
     assert unused_definitions(defining, [ast.parse(p.read_text()) for p in USERS]) == []
+
+
+CATCH_ALL = {"Exception", "BaseException"}
+
+
+def catch_alls(tree: ast.Module) -> list[int]:
+    """Lines of the handlers that catch every exception."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or isinstance(t, ast.Name) and t.id in CATCH_ALL
+                   for t in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_catch_all_scan_sees_bare_broad_and_tuple_handlers():
+    tree = ast.parse("try: pass\nexcept: pass\n"
+                     "try: pass\nexcept (OSError, Exception): pass\n"
+                     "try: pass\nexcept BaseException as e: pass\n"
+                     "try: pass\nexcept (OSError, ValueError): pass\n")
+    assert catch_alls(tree) == [2, 4, 6]
+
+
+def test_no_catch_all_except_in_src():
+    assert SRC
+    found = {str(path.relative_to(ROOT)): catch_alls(ast.parse(path.read_text()))
+             for path in SRC}
+    assert {path: lines for path, lines in found.items() if lines} == {}

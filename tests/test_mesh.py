@@ -92,6 +92,16 @@ def test_load_obj_rejects_non_finite_coordinate(tmp_path, token):
     assert str(exc.value) == f"line 3: non-finite vertex coordinate {token!r}"
 
 
+@pytest.mark.parametrize("lines_before", [1, 3000])
+def test_load_obj_rejects_undecodable_bytes(tmp_path, lines_before):
+    p = tmp_path / "bad.obj"
+    p.write_bytes(b"v 0 0 0\n" * lines_before + b"# caf\xe9\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ObjParseError) as exc:
+        load_obj(p)
+    assert exc.value.line == lines_before + 1
+    assert str(exc.value).startswith(f"line {lines_before + 1}: not UTF-8 text")
+
+
 def test_obj_round_trip(tmp_path, tetrahedron):
     rng = np.random.default_rng(0)
     mesh = tetrahedron.with_vertices(rng.normal(size=(4, 3)))

@@ -214,3 +214,40 @@ def test_save_load_round_trip(tmp_path):
 def test_load_dataset_requires_manifest(tmp_path):
     with pytest.raises(SynthError):
         load_dataset(tmp_path)
+
+
+def test_dataset_config_rejects_negative_seed():
+    with pytest.raises(SynthError, match="seed"):
+        DatasetConfig(seed=-1)
+
+
+@pytest.fixture
+def saved_small(tmp_path):
+    save_dataset(make_dataset(SMALL), tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("edit, line, named", [
+    (lambda d: (d / "paired01_rest.obj").write_text("v 0 0 x\n"), 2, "paired01_rest.obj"),
+    (lambda d: (d / "static00_skinning.txt").write_text("bad\n"), 4, "static00_skinning.txt"),
+    (lambda d: (d / "held00_parts.txt").write_bytes(b"\xff\n"), 6, "held00_parts.txt"),
+    (lambda d: (d / "paired00_pose1.obj").unlink(), 1, "paired00_pose1.obj"),
+    (lambda d: (d / "paired02_pose0.obj").write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"), 3, "paired02"),
+    (lambda d: (d / "manifest.txt").write_text("paired00\tpaired\n"), 1, "paired|static|held"),
+])
+def test_load_dataset_names_manifest_line_and_file(saved_small, edit, line, named):
+    edit(saved_small)
+    with pytest.raises(SynthError) as exc:
+        load_dataset(saved_small)
+    assert f"manifest.txt:{line}: " in str(exc.value)
+    assert named in str(exc.value)
+
+
+def test_load_dataset_rejects_unequal_pose_counts(saved_small):
+    manifest = saved_small / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[0] = lines[0].rsplit(",", 1)[0]  # paired00 loses its last pose
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SynthError, match="paired characters differ in pose count"):
+        load_dataset(saved_small)

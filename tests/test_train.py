@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 from types import SimpleNamespace
 
@@ -46,6 +47,10 @@ def test_config_validation():
         TrainConfig(paired_ratio=0, unpaired_ratio=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr_schedule="linear")
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ConfigError, match="loss weight rec"):
+        TrainConfig(lambda_rec=-1.0)
 
 
 def test_lr_schedule_endpoints():
@@ -216,6 +221,55 @@ def test_checkpoint_with_edited_config_is_rejected(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(CheckpointError, match="config_hash"):
         load_checkpoint(path)
+
+
+def _npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _with_config_json(arrays: dict, payload: bytes) -> bytes:
+    return _npz_bytes(**{**arrays, "config_json": np.frombuffer(payload, dtype=np.uint8)})
+
+
+#: Files that are not checkpoints, each from a good checkpoint's arrays.
+BAD_CHECKPOINTS = {
+    "empty": lambda arrays: b"",
+    "random-bytes": lambda arrays: np.random.default_rng(0).bytes(4096),
+    "truncated": lambda arrays: _npz_bytes(**arrays)[:1000],
+    "npy": lambda arrays: _npy_bytes(np.zeros(3)),
+    "no-config": lambda arrays: _npz_bytes(
+        **{k: v for k, v in arrays.items() if k != "config_json"}),
+    "unknown-config-key": lambda arrays: _with_config_json(
+        arrays, json.dumps({**dataclasses.asdict(TINY), "bogus": 1}).encode()),
+    "malformed-json": lambda arrays: _with_config_json(arrays, b"{not json"),
+    "non-object-json": lambda arrays: _with_config_json(arrays, b"[1, 2]"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_CHECKPOINTS))
+def test_bad_checkpoint_file_raises_checkpoint_error(tmp_path, kind):
+    params = init_params(TINY.pipeline_config(), seed=TINY.seed)
+    save_checkpoint(tmp_path / "good.npz", params, None, 0, TINY)
+    with np.load(tmp_path / "good.npz") as data:
+        arrays = dict(data)
+    path = tmp_path / "bad.npz"
+    path.write_bytes(BAD_CHECKPOINTS[kind](arrays))
+    with pytest.raises(CheckpointError, match="cannot load checkpoint .*bad.npz"):
+        load_checkpoint(path)
+
+
+def test_missing_checkpoint_raises_checkpoint_error(tmp_path):
+    for path in (tmp_path / "nope.npz", tmp_path):
+        with pytest.raises(CheckpointError, match="no such checkpoint"):
+            load_checkpoint(path)
 
 
 def test_fit_writes_metrics_and_final_checkpoint(tiny_dataset, tmp_path):
