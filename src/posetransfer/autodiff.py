@@ -197,12 +197,6 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), [(a, lambda g: g / a.data)])
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, [(a, lambda g: g * out)])
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)

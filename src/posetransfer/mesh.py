@@ -1,4 +1,4 @@
-"""Triangle mesh container, OBJ I/O, and per-vertex geometric features.
+"""Triangle mesh container, OBJ I/O, and differentiable per-vertex features.
 
 The mesh is the common currency of the whole pipeline: the articulation
 model deforms it, the networks consume its vertex features and graph
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import autodiff as ad
 
 
 class MeshError(ValueError):
@@ -205,32 +207,24 @@ def save_obj(mesh: Mesh, path) -> None:
         fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
 
 
-def face_normals(mesh: Mesh) -> np.ndarray:
-    """Unnormalized face normals; length equals twice the face area."""
-    v = mesh.vertices
-    f = mesh.faces
-    return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+def vertex_features(faces: np.ndarray, vertices) -> ad.Tensor:
+    """(N, 6) features: columns 0-2 position, columns 3-5 the area-weighted
+    average of incident face normals, unit length.
 
-
-def vertex_normals(mesh: Mesh) -> np.ndarray:
-    """Area-weighted average of incident face normals, unit length.
-
-    Vertices with no incident non-degenerate face get the zero vector.
+    ``vertices`` is an (N, 3) array or a live tensor (the cycle pass feeds
+    the predicted target back in); the result is differentiable in it.
+    Corners are accumulated in ``faces.T.ravel()`` order and rows are
+    divided by their exact norm, so the values equal the plain NumPy
+    ``acc / |acc|`` bit for bit.  Vertices with no incident non-degenerate
+    face get the zero normal.
     """
-    fn = face_normals(mesh)
-    acc = np.zeros_like(mesh.vertices)
-    for c in range(3):
-        np.add.at(acc, mesh.faces[:, c], fn)
-    norms = np.linalg.norm(acc, axis=1)
-    out = np.zeros_like(acc)
-    nz = norms > 0.0
-    out[nz] = acc[nz] / norms[nz, None]
-    return out
-
-
-def vertex_features(mesh: Mesh) -> np.ndarray:
-    """(N, 6) features: columns 0-2 position, columns 3-5 unit normal."""
-    return np.hstack([mesh.vertices, vertex_normals(mesh)])
+    v = ad.as_tensor(vertices)
+    v0, v1, v2 = (ad.rows(v, faces[:, c]) for c in range(3))
+    fn = ad.cross_rows(v1 - v0, v2 - v0)  # length is twice the face area
+    acc = ad.scatter_rows(ad.concat([fn, fn, fn], axis=0), faces.T.ravel(), v.shape[0])
+    sq = ad.sum_(acc * acc, axis=1, keepdims=True)
+    normals = acc / ad.sqrt(sq + ad.constant(sq.data == 0.0))
+    return ad.concat([v, normals], axis=1)
 
 
 def edge_set(mesh: Mesh) -> np.ndarray:

@@ -242,19 +242,6 @@ def lbs_tensor(vertices, w: ad.Tensor, rotations: ad.Tensor, translations: ad.Te
     return ad.einsum("nij,nj->ni", blended, vertices) + ad.matmul(w, offsets)
 
 
-def vertex_features_tensor(v: ad.Tensor, faces: np.ndarray) -> ad.Tensor:
-    """Differentiable [position | area-weighted unit normal] features."""
-    n = v.shape[0]
-    v0, v1, v2 = (ad.rows(v, faces[:, c]) for c in range(3))
-    fn = ad.cross_rows(v1 - v0, v2 - v0)
-    acc = None
-    for c in range(3):
-        s = ad.scatter_rows(fn, faces[:, c], n)
-        acc = s if acc is None else acc + s
-    normals = acc / ad.norm_rows(acc, 1e-12)
-    return ad.concat([v, normals], axis=1)
-
-
 # ---- composed pipeline -------------------------------------------------
 
 @dataclass
@@ -277,9 +264,9 @@ class CharContext:
 
 def char_context(mesh: Mesh) -> CharContext:
     norm, center, scale = normalize_vertices(mesh.vertices)
-    normed = mesh.with_vertices(norm)
     return CharContext(mesh=mesh, norm_vertices=norm, center=center, scale=scale,
-                       graph=graph_operator(mesh), features=vertex_features(normed))
+                       graph=graph_operator(mesh),
+                       features=vertex_features(mesh.faces, norm).data)
 
 
 @dataclass
@@ -338,17 +325,11 @@ def transfer_pose_graph(posed_source_vertices, source: CharEncoding, target: Cha
     constants; pass ``t_source`` to pin them (gradient checking does).
     """
     src, tgt = source.ctx, target.ctx
-    if isinstance(posed_source_vertices, ad.Tensor):
-        posed_feats = vertex_features_tensor(posed_source_vertices, src.mesh.faces)
-        posed_np = posed_source_vertices.data
-    else:
-        posed_np = np.asarray(posed_source_vertices, dtype=np.float64)
-        posed_feats = ad.constant(vertex_features(src.mesh.with_vertices(posed_np)))
-
-    y_posed = encode(posed_feats, src.graph, params)
+    posed = ad.as_tensor(posed_source_vertices)
+    y_posed = encode(vertex_features(src.mesh.faces, posed), src.graph, params)
     z_posed = attend(source.w, y_posed, params)
     if t_source is None:
-        t_source = source_transforms(source, posed_np)
+        t_source = source_transforms(source, posed.data)
 
     rotations, translations, t_flat = decode_transforms(
         target.z, z_posed - source.z, t_source, params)

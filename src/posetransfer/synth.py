@@ -14,11 +14,19 @@ resolution; static characters vary limb count and segment count as well.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import Mesh
+from .articulation import (
+    PartCenters,
+    RigidTransform,
+    lbs_deform,
+    load_skinning,
+    save_skinning,
+)
+from .mesh import Mesh, load_obj, save_obj
 
 #: Fraction of a segment's length over which skinning blends into the parent.
 BLEND_SPAN = 0.35
@@ -298,15 +306,11 @@ def pose_character(sample: CharacterSample, pose: PoseSpec) -> Mesh:
     """Ground-truth LBS posing through the internal joint tree."""
     if pose.is_rest:
         return sample.rest.with_vertices(sample.rest.vertices.copy())
-    transforms = part_world_transforms(sample, pose)
-    v = sample.rest.vertices
-    out = np.zeros_like(v)
-    for k, (r, t) in enumerate(transforms):
-        wk = sample.gt_skinning[:, k]
-        if not wk.any():
-            continue
-        out += wk[:, None] * (v @ r.T + t)
-    return sample.rest.with_vertices(out)
+    # world transforms act on absolute positions: LBS about zero centers
+    transforms = [RigidTransform(r, t) for r, t in part_world_transforms(sample, pose)]
+    w = sample.gt_skinning
+    origin = PartCenters(centers=np.zeros((w.shape[1], 3)), coverage=w.sum(axis=0))
+    return lbs_deform(sample.rest, w, transforms, origin)
 
 
 def sample_pose(n_joints: int, rng: np.random.Generator,
@@ -335,8 +339,9 @@ class DatasetConfig:
     torso_segments: int = 2
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise SynthError(f"seed must be non-negative, got {self.seed}")
+        for name in ("seed", "n_paired", "n_static", "n_held", "n_poses"):
+            if getattr(self, name) < 0:
+                raise SynthError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -410,11 +415,6 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     Manifest: one line per character, ``id<TAB>split<TAB>pose-files``
     (comma-separated OBJ names, or ``-`` for none).
     """
-    import os
-
-    from .articulation import save_skinning
-    from .mesh import save_obj
-
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for split in ("paired", "static", "held"):
@@ -441,11 +441,6 @@ def load_dataset(data_dir) -> Dataset:
     carry posed meshes without their PoseSpec.  A file that cannot be
     read or parsed raises ``SynthError`` naming it and its manifest line.
     """
-    import os
-
-    from .articulation import load_skinning
-    from .mesh import load_obj
-
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest):
         raise SynthError(f"no {MANIFEST_NAME} in {data_dir}")

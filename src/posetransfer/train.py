@@ -95,8 +95,9 @@ class TrainConfig:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if not 0.0 <= self.lr_floor <= 1.0:
             raise ConfigError("lr_floor must be in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("seed", "steps", "ckpt_every", "probe_every", "n_skin_pairs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         try:
             self.loss_weights()
         except ValueError as exc:

@@ -134,7 +134,7 @@ def test_gradcheck_composite_ops():
     x = _t(rng.uniform(0.5, 1.5, size=(4, 3)))
 
     def f(t):
-        a = ad.exp(ad.log(t)) + ad.sqrt(t)
+        a = ad.log(t) + ad.sqrt(t)
         b = ad.transpose(a) @ a
         return ad.mean(b) + ad.mean(ad.norm_rows(a, 1e-12))
 

@@ -299,6 +299,12 @@ MALFORMED = [
     ("gen-data-binary-config", EXIT_USER, "bin.cfg:1",
      lambda ws, t: ["gen-data", "--out", str(t / "d"),
                     "--config", _write(t / "bin.cfg", b"\xff\xfe\x00\x01")]),
+    ("gen-data-negative-paired", EXIT_USER, "n_paired",
+     lambda ws, t: ["gen-data", "--out", str(t / "d"),
+                    "--config", _write(t / "d.cfg", "n_paired = -1\n")]),
+    ("gen-data-negative-poses", EXIT_USER, "n_poses",
+     lambda ws, t: ["gen-data", "--out", str(t / "d"),
+                    "--config", _write(t / "d.cfg", "n_poses = -3\n")]),
     ("gen-data-out-is-file", EXIT_IO, "taken",
      lambda ws, t: ["gen-data", "--out", _write(t / "taken", "x"), "--config",
                     str(ws / "data.cfg")]),
@@ -311,6 +317,14 @@ MALFORMED = [
          t / "t.cfg", (ws / "train.cfg").read_text() + "lambda_rec = -1\n"))),
     ("train-negative-seed", EXIT_USER, "seed",
      lambda ws, t: _train(ws, t, "--seed", "-1")),
+    ("train-negative-steps", EXIT_USER, "steps",
+     lambda ws, t: _train(ws, t, "--steps", "-1")),
+    ("train-negative-ckpt-every", EXIT_USER, "ckpt_every",
+     lambda ws, t: _train(ws, t, config=_write(t / "t.cfg", (ws / "train.cfg").read_text()
+                                               .replace("ckpt_every = 0", "ckpt_every = -1")))),
+    ("train-negative-skin-pairs", EXIT_USER, "n_skin_pairs",
+     lambda ws, t: _train(ws, t, config=_write(t / "t.cfg", (ws / "train.cfg").read_text()
+                                               .replace("n_skin_pairs = 32", "n_skin_pairs = -1")))),
     ("train-missing-dataset", EXIT_USER, "manifest.txt",
      lambda ws, t: _train(ws, t, data=str(t))),
     ("train-malformed-obj", EXIT_USER, "paired00_rest.obj",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posetransfer import autodiff as ad
 from posetransfer.mesh import (
     Mesh,
     MeshError,
@@ -12,7 +13,6 @@ from posetransfer.mesh import (
     normalize_vertices,
     save_obj,
     vertex_features,
-    vertex_normals,
 )
 from posetransfer.synth import CharacterSpec, generate_character
 
@@ -276,15 +276,45 @@ def test_save_obj_bytes_match_line_oracle(tmp_path):
 
 # ---- normals and features ---------------------------------------------
 
+def _face_normals(mesh):
+    """Oracle: the NumPy face normals ``vertex_features`` replaced."""
+    v, f = mesh.vertices, mesh.faces
+    return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+
+
+def _vertex_features_oracle(mesh):
+    """Oracle: the NumPy features ``vertex_features`` replaced, with three
+    ``np.add.at`` passes and a masked division by the row norm."""
+    fn = _face_normals(mesh)
+    acc = np.zeros_like(mesh.vertices)
+    for c in range(3):
+        np.add.at(acc, mesh.faces[:, c], fn)
+    norms = np.linalg.norm(acc, axis=1)
+    out = np.zeros_like(acc)
+    nz = norms > 0.0
+    out[nz] = acc[nz] / norms[nz, None]
+    return np.hstack([mesh.vertices, out])
+
+
+def _degenerate_mesh():
+    """Tetrahedron plus vertex 4 on the midpoint of edge 0-1, whose face
+    (0, 1, 4) has zero area but which also has the non-degenerate face
+    (4, 1, 3); vertex 5 is isolated."""
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [0.5, 0.0, 0.0], [5.0, 5.0, 5.0]])
+    faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3], [0, 1, 4], [4, 1, 3]]
+    return Mesh(vertices=v, faces=faces)
+
+
 def test_planar_triangle_normals(triangle):
-    n = vertex_normals(triangle)
+    n = vertex_features(triangle.faces, triangle.vertices).data[:, 3:]
     assert np.abs(n - [0.0, 0.0, 1.0]).max() < 1e-12
 
 
 def test_isolated_vertex_gets_zero_normal(triangle):
     mesh = Mesh(vertices=np.vstack([triangle.vertices, [5.0, 5.0, 5.0]]),
                 faces=triangle.faces)
-    n = vertex_normals(mesh)
+    n = vertex_features(mesh.faces, mesh.vertices).data[:, 3:]
     assert (n[3] == 0.0).all()
 
 
@@ -306,38 +336,36 @@ def test_cube_corner_normal_equal_area_weighting():
         [0, 3, 6], [0, 6, 4],
     ])
     mesh = Mesh(vertices=v, faces=faces)
-    from posetransfer.mesh import face_normals
-
-    fn = face_normals(mesh)
+    fn = _face_normals(mesh)
     areas = np.linalg.norm(fn, axis=1) / 2.0
     assert np.abs(areas - areas[0]).max() < 1e-12
     expected = fn.sum(axis=0)
     expected /= np.linalg.norm(expected)
-    got = vertex_normals(mesh)[0]
+    got = vertex_features(mesh.faces, mesh.vertices).data[0, 3:]
     assert np.abs(got - expected).max() < 1e-12
     assert np.abs(np.abs(expected) - 1.0 / np.sqrt(3.0)).max() < 1e-12
 
 
 def test_vertex_features_layout(triangle):
-    f = vertex_features(triangle)
+    f = vertex_features(triangle.faces, triangle.vertices).data
     assert f.shape == (3, 6)
     assert np.allclose(f[:, :3], triangle.vertices)
     assert np.abs(f[:, 3:] - [0.0, 0.0, 1.0]).max() < 1e-12
 
 
 def test_vertex_features_translation_equivariance(tetrahedron):
-    shifted = tetrahedron.with_vertices(tetrahedron.vertices + [2.0, -1.0, 0.5])
-    f0 = vertex_features(tetrahedron)
-    f1 = vertex_features(shifted)
+    shifted = tetrahedron.vertices + [2.0, -1.0, 0.5]
+    f0 = vertex_features(tetrahedron.faces, tetrahedron.vertices).data
+    f1 = vertex_features(tetrahedron.faces, shifted).data
     assert np.abs(f1[:, :3] - f0[:, :3] - [2.0, -1.0, 0.5]).max() < 1e-12
     assert np.abs(f1[:, 3:] - f0[:, 3:]).max() < 1e-12
 
 
 def test_vertex_features_rotation_equivariance(tetrahedron):
     r = random_rotation(np.random.default_rng(7))
-    rotated = tetrahedron.with_vertices(tetrahedron.vertices @ r.T)
-    f0 = vertex_features(tetrahedron)
-    f1 = vertex_features(rotated)
+    rotated = tetrahedron.vertices @ r.T
+    f0 = vertex_features(tetrahedron.faces, tetrahedron.vertices).data
+    f1 = vertex_features(tetrahedron.faces, rotated).data
     assert np.abs(f1[:, :3] - f0[:, :3] @ r.T).max() < 1e-9
     assert np.abs(f1[:, 3:] - f0[:, 3:] @ r.T).max() < 1e-9
 
@@ -348,9 +376,44 @@ def test_vertex_normals_permutation_invariance(small_char):
     perm = rng.permutation(mesh.n_vertices)
     inv = np.argsort(perm)
     permuted = Mesh(vertices=mesh.vertices[perm], faces=inv[mesh.faces])
-    n0 = vertex_normals(mesh)
-    n1 = vertex_normals(permuted)
+    n0 = vertex_features(mesh.faces, mesh.vertices).data[:, 3:]
+    n1 = vertex_features(permuted.faces, permuted.vertices).data[:, 3:]
     assert np.abs(n1 - n0[perm]).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    CharacterSpec(seed=0),
+    CharacterSpec(seed=3, limb_count=2, segments_per_limb=1, torso_segments=1,
+                  ring_verts=3, rings_per_segment=2),
+    CharacterSpec(seed=5, ring_verts=32, rings_per_segment=16),
+], ids=["default", "tiny", "4970-vertices"])
+def test_vertex_features_match_numpy_oracle_bitwise(spec):
+    mesh = generate_character(spec).rest
+    for vertices in (mesh.vertices, normalize_vertices(mesh.vertices)[0]):
+        expected = _vertex_features_oracle(mesh.with_vertices(vertices))
+        for given in (vertices, ad.Tensor(vertices, requires_grad=True)):
+            assert np.array_equal(vertex_features(mesh.faces, given).data, expected)
+
+
+def test_vertex_features_degenerate_rows_match_numpy_oracle_bitwise():
+    full = _degenerate_mesh()
+    # without face (4, 1, 3), vertex 4 touches only the zero-area face
+    zero_only = Mesh(vertices=full.vertices, faces=full.faces[:5])
+    for mesh in (full, zero_only):
+        assert np.array_equal(vertex_features(mesh.faces, mesh.vertices).data,
+                              _vertex_features_oracle(mesh))
+    normals = vertex_features(zero_only.faces, zero_only.vertices).data[:, 3:]
+    assert (normals[4:] == 0.0).all()  # vertex 4 and the isolated vertex 5
+
+
+def test_vertex_features_gradient_through_degenerate_rows():
+    mesh = _degenerate_mesh()
+    coeff = np.random.default_rng(4).normal(size=(mesh.n_vertices, 6))
+    x = ad.Tensor(mesh.vertices.copy(), requires_grad=True)
+    report = ad.gradcheck(
+        lambda t: ad.mean(vertex_features(mesh.faces, t) * ad.constant(coeff)), x)
+    assert report.passed and report.n_kink_suspect == 0, report
+    assert np.isfinite(x.grad).all()
 
 
 # ---- edges and graph operator -----------------------------------------

@@ -12,6 +12,7 @@ from posetransfer.synth import (
     generate_character,
     load_dataset,
     make_dataset,
+    part_world_transforms,
     pose_character,
     sample_pose,
     save_dataset,
@@ -127,6 +128,33 @@ def test_posing_preserves_rigid_edge_lengths():
     assert np.abs(posed_len - rest_len).max() < 1e-9
 
 
+def _pose_character_oracle(sample, pose):
+    """Oracle: the per-part posing loop ``pose_character`` replaced."""
+    v = sample.rest.vertices
+    out = np.zeros_like(v)
+    for k, (r, t) in enumerate(part_world_transforms(sample, pose)):
+        wk = sample.gt_skinning[:, k]
+        if not wk.any():
+            continue
+        out += wk[:, None] * (v @ r.T + t)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    CharacterSpec(seed=0),
+    CharacterSpec(seed=3, limb_count=2, segments_per_limb=1, torso_segments=1,
+                  ring_verts=3, rings_per_segment=2),
+    CharacterSpec(seed=5, ring_verts=32, rings_per_segment=16),
+], ids=["default", "tiny", "4970-vertices"])
+def test_pose_character_matches_loop_oracle_bitwise(spec):
+    char = generate_character(spec)
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(3):
+        pose = sample_pose(char.n_joints, rng)
+        assert np.array_equal(pose_character(char, pose).vertices,
+                              _pose_character_oracle(char, pose))
+
+
 def test_pose_character_rejects_wrong_joint_count(small_char):
     angles = np.full((small_char.n_joints + 1, 3), 0.2)
     with pytest.raises(SynthError):
@@ -219,6 +247,13 @@ def test_load_dataset_requires_manifest(tmp_path):
 def test_dataset_config_rejects_negative_seed():
     with pytest.raises(SynthError, match="seed"):
         DatasetConfig(seed=-1)
+
+
+def test_dataset_config_rejects_negative_counts():
+    for name in ("n_paired", "n_static", "n_held", "n_poses"):
+        with pytest.raises(SynthError, match=name):
+            DatasetConfig(**{name: -1})
+        DatasetConfig(**{name: 0})
 
 
 @pytest.fixture

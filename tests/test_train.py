@@ -51,6 +51,10 @@ def test_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError, match="loss weight rec"):
         TrainConfig(lambda_rec=-1.0)
+    for name in ("steps", "ckpt_every", "probe_every", "n_skin_pairs"):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: -1})
+        TrainConfig(**{name: 0})
 
 
 def test_lr_schedule_endpoints():
