@@ -21,6 +21,7 @@ from .mesh import MeshError, load_obj, save_obj
 from .networks import (
     char_context,
     encode_character,
+    encode_source_frame,
     pose_transfer,
     predict_skinning,
     transfer_pose_graph,
@@ -29,6 +30,7 @@ from .synth import DatasetConfig, SynthError, load_dataset, make_dataset, save_d
 from .train import (
     CheckpointError,
     ConfigError,
+    TrainingDiverged,
     fit,
     load_checkpoint,
     parse_config,
@@ -46,6 +48,7 @@ EXIT_CODES = {
     **dict.fromkeys((ConfigError, CheckpointError, MeshError, ArticulationError,
                      SynthError, AutodiffError), EXIT_USER),
     OSError: EXIT_IO,
+    TrainingDiverged: EXIT_NUMERIC,
 }
 
 
@@ -168,8 +171,8 @@ def cmd_transfer(args) -> int:
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.ckpt)[0].frozen()
     dataset = load_dataset(args.data)
-    # each character is encoded once; every (source, target, pose) triple
-    # is one transfer step between two encodings
+    # each character is encoded once and each posed source frame once;
+    # every (source, target, pose) triple decodes one frame onto one encoding
     splits = [(split, chars, [encode_character(char_context(ch.rest), params)
                               for ch in chars])
               for split, chars in (("held", dataset.held), ("paired", dataset.paired))
@@ -179,14 +182,15 @@ def cmd_eval(args) -> int:
     for split, chars, encs in splits:
         if not chars[0].poses:
             continue
+        frames = [[encode_source_frame(enc.ctx.normalize(posed.vertices), enc, params)
+                   for _, posed in ch.poses] for ch, enc in zip(chars, encs)]
         values = []
-        for si, src in enumerate(chars):
+        for si, src_frames in enumerate(frames):
             for ti, tgt in enumerate(chars):
                 if si == ti:
                     continue
-                for p, (_, posed) in enumerate(src.poses):
-                    graph = transfer_pose_graph(encs[si].ctx.normalize(posed.vertices),
-                                                encs[si], encs[ti], params)
+                for p, frame in enumerate(src_frames):
+                    graph = transfer_pose_graph(frame, encs[ti], params)
                     values.append(pmd(encs[ti].ctx.denormalize(graph.deformed.data),
                                       tgt.poses[p][1].vertices))
         rows.append(("pmd", split, float(np.mean(values))))

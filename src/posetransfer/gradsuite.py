@@ -20,6 +20,7 @@ from .networks import (
     char_context,
     encode,
     encode_character,
+    encode_source_frame,
     init_params,
     lbs_tensor,
     predict_skinning,
@@ -262,14 +263,18 @@ def _pipeline_checks(seed: int, max_coords: int):
 
     src_enc, tgt_enc = encode_character(src, params), encode_character(tgt, params)
     t_source = source_transforms(src_enc, posed_norm)
-    base_fwd = transfer_pose_graph(posed_norm, src_enc, tgt_enc, params, t_source)
+    base_fwd = transfer_pose_graph(encode_source_frame(posed_norm, src_enc, params, t_source),
+                                   tgt_enc, params)
     t_backward = source_transforms(tgt_enc, base_fwd.deformed.data)
 
     # the objectives encode afresh: each probe perturbs the params
+    def frame():
+        return encode_source_frame(posed_norm, encode_character(src, params), params,
+                                   t_source)
+
     def paired_objective(_):
         tgt_enc = encode_character(tgt, params)
-        graph = transfer_pose_graph(posed_norm, encode_character(src, params), tgt_enc,
-                                    params, t_source)
+        graph = transfer_pose_graph(frame(), tgt_enc, params)
         total = loss_rec(graph.deformed, gt_norm)
         total = total + loss_trans(
             graph.t_flat, tgt_rest_norm, tgt_rest_norm.with_vertices(gt_norm),
@@ -282,9 +287,8 @@ def _pipeline_checks(seed: int, max_coords: int):
         return total
 
     def cycle_objective(_):
-        return loss_cycle(params, posed_norm, encode_character(src, params),
-                          encode_character(tgt, params),
-                          t_source=t_source, t_backward=t_backward).total
+        return loss_cycle(params, frame(), encode_character(tgt, params),
+                          t_backward=t_backward).total
 
     checks = []
     picks = {"skinning": "skin.conv0.w_neigh", "encoder": "enc.out.w",

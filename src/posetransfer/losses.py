@@ -17,8 +17,10 @@ from .mesh import Mesh, edge_set
 from .networks import (
     CharEncoding,
     PoseTransferParams,
+    SourceFrame,
     TransferGraph,
     _renormalized,
+    encode_source_frame,
     lbs_tensor,
     transfer_pose_graph,
 )
@@ -146,29 +148,30 @@ class CycleResult:
     pseudo_target: np.ndarray
 
 
-def loss_cycle(params: PoseTransferParams, source_posed_norm: np.ndarray,
-               source: CharEncoding, target: CharEncoding,
-               t_source=None, t_backward=None, w_pseudo: float = 0.3,
+def loss_cycle(params: PoseTransferParams, frame: SourceFrame, target: CharEncoding,
+               t_backward=None, w_pseudo: float = 0.3,
                use_pseudo: bool = True) -> CycleResult:
     """Source -> target -> source round trip plus pseudo-ground truth.
 
     All geometry lives in the normalized per-character frames.  The
-    backward pass runs between the same two encodings; its analytic
-    transforms are recomputed from the (detached) predicted target and
-    enter the graph as constants unless ``t_backward`` pins them
-    (gradient checking does, so both stop-gradients stay fixed).
+    backward pass runs between the same two encodings, from a frame of
+    the live predicted target; its analytic transforms are recomputed
+    from the (detached) prediction and enter the graph as constants
+    unless ``t_backward`` pins them (gradient checking does, so both
+    stop-gradients stay fixed).
     """
-    fwd = transfer_pose_graph(source_posed_norm, source, target, params, t_source)
-    bwd = transfer_pose_graph(fwd.deformed, target, source, params, t_backward)
-    cycle_term = loss_rec(bwd.deformed, ad.constant(source_posed_norm))
+    fwd = transfer_pose_graph(frame, target, params)
+    bwd = transfer_pose_graph(
+        encode_source_frame(fwd.deformed, target, params, t_backward), frame.source, params)
+    cycle_term = loss_rec(bwd.deformed, ad.constant(frame.posed.data))
 
     pseudo = None
     pseudo_term = ad.Tensor(0.0)
     if use_pseudo:
-        r_src = np.stack([tf.rotation for tf in fwd.t_source])
-        t_src = np.stack([tf.translation for tf in fwd.t_source])
+        k = frame.t_stack.shape[0]
         pseudo = lbs_tensor(target.ctx.norm_vertices, ad.constant(target.w.data),
-                            ad.constant(r_src), ad.constant(t_src),
+                            ad.constant(frame.t_stack[:, :9].reshape(k, 3, 3)),
+                            ad.constant(frame.t_stack[:, 9:]),
                             ad.constant(fwd.target_centers.data)).data
         pseudo_term = loss_rec(fwd.deformed, ad.constant(pseudo))
     total = cycle_term + w_pseudo * pseudo_term if use_pseudo else cycle_term

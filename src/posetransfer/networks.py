@@ -11,6 +11,16 @@ Three networks cooperate:
   part latent, the source pose delta, and the analytic source transform
   into a residual rigid transform for each part.
 
+A transfer runs in three stages, each reusable by the next:
+
+1. character encoding (``encode_character``): the skinning weights and
+   rest part latents of one rest mesh, shared by every frame;
+2. source frame (``encode_source_frame``): the pose delta and the
+   analytic source transforms of one posed source, shared by every
+   target;
+3. per-target step (``transfer_pose_graph``): decoder, part centers and
+   LBS of one frame onto one target.
+
 The decoder output parameterizes rotations with the continuous 6D
 representation and is composed onto the analytic source transform, so a
 zero-initialized output layer reproduces the analytic retarget exactly.
@@ -197,15 +207,15 @@ def rotations_from_6d(raw: ad.Tensor) -> ad.Tensor:
     return ad.concat([col.reshape(k, 3, 1) for col in (b1, b2, b3)], axis=2)
 
 
-def decode_transforms(z_target, z_pose_delta, t_source: list[RigidTransform],
+def decode_transforms(z_target, z_pose_delta, t_src: np.ndarray,
                       params: PoseTransferParams) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
-    """Predict target part transforms as residuals on the source transforms.
+    """Predict target part transforms as residuals on the source transforms
+    ``t_src``, their (K, 12) row-major flattening.
 
     Returns (rotations, translations, flat): the (K, 3, 3) rotations, the
     (K, 3) translations, and the (K, 12) row-major flattening of both
     that the transformation-regression loss uses.
     """
-    t_src = np.stack([tf.flat() for tf in t_source])
     k = t_src.shape[0]
     h = ad.concat([ad.as_tensor(z_target), ad.as_tensor(z_pose_delta),
                    ad.constant(t_src)], axis=1)
@@ -301,46 +311,65 @@ def source_transforms(source: CharEncoding, posed_vertices) -> list[RigidTransfo
 
 
 @dataclass
+class SourceFrame:
+    """One posed source as the decoder sees it (source rest frame).
+
+    The pose delta and the analytic source transforms depend only on the
+    source and its pose, so one frame is decoded onto every target.
+    """
+
+    source: CharEncoding
+    posed: ad.Tensor  # (N_s, 3)
+    z_delta: ad.Tensor  # (K, C) posed minus rest part latents
+    t_source: list[RigidTransform]
+    t_stack: np.ndarray  # (K, 12) row-major flattening of ``t_source``
+
+
+def encode_source_frame(posed_vertices, source: CharEncoding, params: PoseTransferParams,
+                        t_source: list[RigidTransform] | None = None) -> SourceFrame:
+    """Encode one posed source against its rest encoding.
+
+    ``posed_vertices`` must already be in the source rest frame; it may
+    be a plain array or a live tensor (the cycle pass feeds the predicted
+    target back in).  The analytic source transforms enter as constants;
+    pass ``t_source`` to pin them (gradient checking does).
+    """
+    posed = ad.as_tensor(posed_vertices)
+    ctx = source.ctx
+    y_posed = encode(vertex_features(ctx.mesh.faces, posed), ctx.graph, params)
+    z_posed = attend(source.w, y_posed, params)
+    if t_source is None:
+        t_source = source_transforms(source, posed.data)
+    return SourceFrame(source=source, posed=posed, z_delta=z_posed - source.z,
+                       t_source=t_source, t_stack=np.stack([tf.flat() for tf in t_source]))
+
+
+@dataclass
 class TransferGraph:
     """All live tensors of one source-to-target transfer (normalized frame)."""
 
     deformed: ad.Tensor  # (N_t, 3), target frame
-    source: CharEncoding
+    frame: SourceFrame
     target: CharEncoding
-    t_source: list[RigidTransform]
     rotations: ad.Tensor  # (K, 3, 3)
     translations: ad.Tensor  # (K, 3)
     t_flat: ad.Tensor  # (K, 12)
     target_centers: ad.Tensor  # (K, 3)
 
 
-def transfer_pose_graph(posed_source_vertices, source: CharEncoding, target: CharEncoding,
-                        params: PoseTransferParams,
-                        t_source: list[RigidTransform] | None = None) -> TransferGraph:
-    """Build the differentiable graph of one frame's transfer.
-
-    ``posed_source_vertices`` must already be in the source rest frame;
-    it may be a plain array or a live tensor (the cycle pass feeds the
-    predicted target back in).  The analytic source transforms enter as
-    constants; pass ``t_source`` to pin them (gradient checking does).
-    """
-    src, tgt = source.ctx, target.ctx
-    posed = ad.as_tensor(posed_source_vertices)
-    y_posed = encode(vertex_features(src.mesh.faces, posed), src.graph, params)
-    z_posed = attend(source.w, y_posed, params)
-    if t_source is None:
-        t_source = source_transforms(source, posed.data)
-
+def transfer_pose_graph(frame: SourceFrame, target: CharEncoding,
+                        params: PoseTransferParams) -> TransferGraph:
+    """Build the differentiable graph of one frame's transfer onto ``target``:
+    decoder, target part centers and LBS."""
     rotations, translations, t_flat = decode_transforms(
-        target.z, z_posed - source.z, t_source, params)
-
+        target.z, frame.z_delta, frame.t_stack, params)
+    tgt = target.ctx
     target_centers = centers_tensor(target.w, tgt.norm_vertices)
     deformed = lbs_tensor(tgt.norm_vertices, target.w, rotations,
                           translations, target_centers)
-    return TransferGraph(deformed=deformed, source=source, target=target,
-                         t_source=t_source, rotations=rotations,
-                         translations=translations, t_flat=t_flat,
-                         target_centers=target_centers)
+    return TransferGraph(deformed=deformed, frame=frame, target=target,
+                         rotations=rotations, translations=translations,
+                         t_flat=t_flat, target_centers=target_centers)
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:
@@ -368,7 +397,8 @@ def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
     params = params.frozen()
     src = encode_character(char_context(source_rest), params)
     tgt = encode_character(char_context(target_rest), params)
-    graph = transfer_pose_graph(src.ctx.normalize(source_posed.vertices), src, tgt, params)
+    frame = encode_source_frame(src.ctx.normalize(source_posed.vertices), src, params)
+    graph = transfer_pose_graph(frame, tgt, params)
     transforms = [RigidTransform(rotation=r, translation=t)
                   for r, t in zip(graph.rotations.data, graph.translations.data)]
     return TransferResult(
@@ -376,5 +406,5 @@ def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
         w_source=_renormalized(src.w.data),
         w_target=_renormalized(tgt.w.data),
         transforms=transforms,
-        t_source=graph.t_source,
+        t_source=frame.t_source,
     )

@@ -8,6 +8,7 @@ from a checkpoint replays the identical trajectory.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -34,6 +35,7 @@ from .networks import (
     char_context,
     empty_params,
     encode_character,
+    encode_source_frame,
     init_params,
     transfer_pose_graph,
 )
@@ -48,6 +50,11 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint is missing, is not a checkpoint, or mismatches its config."""
+
+
+class TrainingDiverged(ArithmeticError):
+    """A training step produced a non-finite loss, gradient, parameter or
+    activation."""
 
 
 @dataclass(frozen=True)
@@ -315,11 +322,12 @@ def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
     """
     src = encode_character(cache.context(src_sample), params)
     tgt = encode_character(cache.context(tgt_sample), params)
-    posed_norm = src.ctx.normalize(src_sample.poses[pose_idx][1].vertices)
+    frame = encode_source_frame(src.ctx.normalize(src_sample.poses[pose_idx][1].vertices),
+                                src, params)
     tgt_rest_norm = tgt.ctx.mesh.with_vertices(tgt.ctx.norm_vertices)
     if paired:
         gt_norm = tgt.ctx.normalize(tgt_sample.poses[pose_idx][1].vertices)
-        graph = transfer_pose_graph(posed_norm, src, tgt, params)
+        graph = transfer_pose_graph(frame, tgt, params)
         components = {
             "rec": loss_rec(graph.deformed, gt_norm),
             "trans": loss_trans(
@@ -329,8 +337,8 @@ def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
                                     coverage=tgt.w.data.sum(axis=0))),
         }
     else:
-        cyc = loss_cycle(params, posed_norm, src, tgt,
-                         w_pseudo=config.w_pseudo, use_pseudo=config.use_pseudo)
+        cyc = loss_cycle(params, frame, tgt, w_pseudo=config.w_pseudo,
+                         use_pseudo=config.use_pseudo)
         graph = cyc.forward
         components = {"cyc": cyc.total}
     if config.use_skin:
@@ -401,6 +409,23 @@ def _probe_pmd(dataset: Dataset, params: PoseTransferParams) -> float:
     return pmd(result.mesh, tgt.poses[0][1])
 
 
+@contextlib.contextmanager
+def _diverged_at(step: int):
+    """Report a forward pass that fails on overflowed activations (Kabsch's
+    SVD does not converge on non-finite input) as divergence at ``step``."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise TrainingDiverged(f"training diverged at step {step}: {exc}") from exc
+
+
+def _require_finite(step: int, what: str, named_arrays) -> None:
+    for name, array in named_arrays:
+        if array is not None and not np.isfinite(array).all():
+            raise TrainingDiverged(f"training diverged at step {step}: "
+                                   f"non-finite {what} {name}")
+
+
 @dataclass
 class FitResult:
     params: PoseTransferParams
@@ -411,7 +436,12 @@ class FitResult:
 
 def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
         resume_from=None, log=None) -> FitResult:
-    """Run the training loop; optionally write checkpoints + metrics CSV."""
+    """Run the training loop; optionally write checkpoints + metrics CSV.
+
+    A non-finite loss, gradient or updated parameter, or a forward pass
+    that overflows, raises ``TrainingDiverged`` naming the step before
+    any checkpoint or metrics row is written from the poisoned params.
+    """
     if resume_from is not None:
         params, opt, start_step, config = load_checkpoint(resume_from)
         if opt is None:
@@ -437,20 +467,27 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
             skin_seed = int(rng.integers(2 ** 31))
             sample = sample_paired_batch if mode == "p" else sample_unpaired_batch
             src, tgt, pose_idx = sample(dataset, rng)
-            components = batch_components(src, tgt, pose_idx, mode == "p", cache,
-                                          params, config, skin_seed)
+            with _diverged_at(step):
+                components = batch_components(src, tgt, pose_idx, mode == "p", cache,
+                                              params, config, skin_seed)
             total = total_loss(components, weights)
+            if not np.isfinite(total.data):
+                raise TrainingDiverged(f"training diverged at step {step}: "
+                                       f"loss is {float(total.data)}")
             (total * (1.0 / config.accum_pairs)).backward()
             report = _component_report(components)
             report["total"] = float(total.data)
             accum_reports.append(report)
+        _require_finite(step, "gradient", ((n, t.grad) for n, t in params.named_tensors()))
         opt.step()
+        _require_finite(step, "parameter", ((n, t.data) for n, t in params.named_tensors()))
         params.zero_grads()
 
         row = {k: float(np.mean([r[k] for r in accum_reports]))
                for k in ("total", "rec", "trans", "cyc", "skin", "edge")}
         if config.probe_every and (step + 1) % config.probe_every == 0:
-            last_probe = _probe_pmd(dataset, params)
+            with _diverged_at(step):
+                last_probe = _probe_pmd(dataset, params)
         row.update(step=step, mode="paired" if mode == "p" else "unpaired",
                    pmd_probe=last_probe)
         metrics.append(row)

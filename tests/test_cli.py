@@ -4,13 +4,14 @@ import shutil
 import numpy as np
 import pytest
 
+from posetransfer import cli, networks
 from posetransfer.articulation import load_skinning, load_transforms, validate_skinning
-from posetransfer.cli import EXIT_IO, EXIT_OK, EXIT_USER, main
+from posetransfer.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USER, main
 from posetransfer.evaluation import pmd
 from posetransfer.mesh import load_obj
-from posetransfer.networks import pose_transfer
+from posetransfer.networks import init_params, pose_transfer
 from posetransfer.synth import load_dataset
-from posetransfer.train import load_checkpoint
+from posetransfer.train import TrainConfig, load_checkpoint, save_checkpoint
 
 
 DATA_CFG = ("n_paired = 2\nn_static = 2\nn_held = 2\nn_poses = 2\n"
@@ -187,6 +188,40 @@ def test_eval_pmd_rows_match_per_triple_transfers(workspace, tmp_path):
     assert [row for row in rows if row[0] == "pmd"] == expected
 
 
+def test_eval_encodes_each_character_and_source_frame_once(tmp_path, monkeypatch):
+    """Three characters per split: the encoder runs once per rest character
+    and once per (source, pose) frame, not once per (source, target, pose)
+    triple, and each split's PMD mean is bitwise the mean of per-triple
+    ``pose_transfer`` runs."""
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("n_paired = 3\nn_static = 0\nn_held = 3\nn_poses = 1\n"
+                   "ring_verts = 3\nrings_per_segment = 2\nlimb_count = 2\n"
+                   "segments_per_limb = 1\ntorso_segments = 1\n")
+    assert main(["gen-data", "--out", str(tmp_path / "data"), "--config", str(cfg),
+                 "--seed", "4"]) == EXIT_OK
+    config = TrainConfig(k_parts=6, latent=8, skin_hidden=(8, 8), enc_hidden=(8, 8),
+                         dec_hidden=(12,))
+    params = init_params(config.pipeline_config(), seed=3, zero_decoder_out=False)
+    save_checkpoint(tmp_path / "ckpt.npz", params, None, 0, config)
+
+    calls = []
+    encode = networks.encode
+    monkeypatch.setattr(networks, "encode", lambda *a: calls.append(1) or encode(*a))
+    rows = []
+    monkeypatch.setattr(cli, "write_report", lambda path, report: rows.extend(report))
+    assert main(_eval(tmp_path, tmp_path, ckpt=str(tmp_path / "ckpt.npz"),
+                      data=str(tmp_path / "data"))) == EXIT_OK
+    assert len(calls) == 6 + 6  # 2 splits x 3 characters, rest + one pose each
+
+    dataset = load_dataset(tmp_path / "data")
+    for split, chars in (("held", dataset.held), ("paired", dataset.paired)):
+        values = [pmd(pose_transfer(posed, src.rest, tgt.rest, params).mesh,
+                      tgt.poses[p][1])
+                  for src in chars for tgt in chars if src is not tgt
+                  for p, (_, posed) in enumerate(src.poses)]
+        assert ("pmd", split, float(np.mean(values))) in rows
+
+
 def test_tampered_checkpoint_is_user_error(workspace, tmp_path, capsys):
     with np.load(workspace / "run" / "ckpt_final.npz") as data:
         arrays = dict(data)
@@ -339,6 +374,15 @@ MALFORMED = [
     ("train-short-manifest-line", EXIT_USER, "manifest.txt:2",
      lambda ws, t: _train(ws, t, data=_dataset(
          ws, t, lambda d: _write(d / "manifest.txt", "paired00\tpaired\t-\npaired01\n")))),
+    ("train-diverging-lr", EXIT_NUMERIC, "diverged at step 2: loss is inf",
+     lambda ws, t: _train(ws, t, "--steps", "8", config=_write(
+         t / "t.cfg", (ws / "train.cfg").read_text() + "lr = 1e30\n"))),
+    ("train-overflowing-update", EXIT_NUMERIC, "step 1: non-finite parameter",
+     lambda ws, t: _train(ws, t, "--steps", "8", config=_write(
+         t / "t.cfg", (ws / "train.cfg").read_text() + "lr = 1e100\n"))),
+    ("train-overflowing-lr", EXIT_NUMERIC, "diverged at step 1: SVD",
+     lambda ws, t: _train(ws, t, "--steps", "8", config=_write(
+         t / "t.cfg", (ws / "train.cfg").read_text() + "lr = 1e200\n"))),
     ("train-resume-truncated", EXIT_USER, "trunc.npz",
      lambda ws, t: _train(ws, t, "--resume", _truncated_ckpt(ws, t))),
     ("train-resume-missing", EXIT_USER, "no such checkpoint",

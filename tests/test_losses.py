@@ -14,7 +14,12 @@ from posetransfer.losses import (
     total_loss,
 )
 from posetransfer.mesh import Mesh, edge_set
-from posetransfer.networks import char_context, encode_character, init_params
+from posetransfer.networks import (
+    char_context,
+    encode_character,
+    encode_source_frame,
+    init_params,
+)
 from posetransfer.synth import pose_character, sample_pose
 
 from conftest import random_rotation
@@ -198,7 +203,7 @@ def test_loss_cycle_near_zero_for_rest_pose_at_identity_init(small_char, tiny_co
     params = init_params(tiny_config, seed=0)  # zero decoder output layer
     src = encode_character(char_context(small_char.rest), params)
     tgt = encode_character(char_context(small_char.rest), params)
-    out = loss_cycle(params, src.ctx.norm_vertices, src, tgt)
+    out = loss_cycle(params, encode_source_frame(src.ctx.norm_vertices, src, params), tgt)
     assert out.total.item() < 1e-6
     assert out.cycle_term.item() < 1e-6
     assert out.pseudo_term.item() < 1e-6
@@ -211,7 +216,8 @@ def test_loss_cycle_recomposes_from_two_transfers(small_char, tiny_params):
     src = encode_character(char_context(small_char.rest), tiny_params)
     tgt = encode_character(char_context(small_char.rest), tiny_params)
     posed_norm = src.ctx.normalize(posed.vertices)
-    out = loss_cycle(tiny_params, posed_norm, src, tgt, w_pseudo=0.3)
+    out = loss_cycle(tiny_params, encode_source_frame(posed_norm, src, tiny_params), tgt,
+                     w_pseudo=0.3)
     # rebuild both terms from the graphs the loss returns
     cyc = np.abs(out.backward.deformed.data - posed_norm).mean()
     pseudo = np.abs(out.forward.deformed.data - out.pseudo_target).mean()
@@ -227,7 +233,8 @@ def test_loss_cycle_pseudo_disabled(small_char, tiny_params):
     posed = pose_character(small_char, pose)
     src = encode_character(char_context(small_char.rest), tiny_params)
     posed_norm = src.ctx.normalize(posed.vertices)
-    out = loss_cycle(tiny_params, posed_norm, src, src, use_pseudo=False)
+    out = loss_cycle(tiny_params, encode_source_frame(posed_norm, src, tiny_params), src,
+                     use_pseudo=False)
     assert out.pseudo_term.item() == 0.0
     assert abs(out.total.item() - out.cycle_term.item()) < 1e-12
 
@@ -238,9 +245,10 @@ def test_loss_cycle_backward_reuses_forward_skinnings(small_char, tiny_params):
     posed = pose_character(small_char, pose)
     src = encode_character(char_context(small_char.rest), tiny_params)
     tgt = encode_character(char_context(small_char.rest), tiny_params)
-    out = loss_cycle(tiny_params, src.ctx.normalize(posed.vertices), src, tgt)
-    assert out.forward.source is out.backward.target is src
-    assert out.forward.target is out.backward.source is tgt
+    frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, tiny_params)
+    out = loss_cycle(tiny_params, frame, tgt)
+    assert out.forward.frame.source is out.backward.target is src
+    assert out.forward.target is out.backward.frame.source is tgt
 
 
 # ---- total objective ---------------------------------------------------

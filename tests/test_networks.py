@@ -13,6 +13,7 @@ from posetransfer.networks import (
     empty_params,
     encode,
     encode_character,
+    encode_source_frame,
     init_params,
     lbs_tensor,
     pose_transfer,
@@ -135,7 +136,7 @@ def test_decoder_zero_output_reproduces_source_transforms(tiny_params):
     b.data[:] = 0.0
     rots, trans, flat = decode_transforms(
         ad.constant(rng.normal(size=(k, c))), ad.constant(rng.normal(size=(k, c))),
-        t_source, tiny_params)
+        np.stack([tf.flat() for tf in t_source]), tiny_params)
     assert np.abs(rots.data - [tf.rotation for tf in t_source]).max() < 1e-12
     assert np.abs(trans.data - [tf.translation for tf in t_source]).max() < 1e-12
     assert np.abs(flat.data - [tf.flat() for tf in t_source]).max() < 1e-12
@@ -145,10 +146,10 @@ def test_decoded_rotations_valid_for_random_params(tiny_params):
     rng = np.random.default_rng(6)
     k = tiny_params.config.k_parts
     c = tiny_params.config.latent
-    t_source = [RigidTransform.identity(rng.normal(size=3)) for _ in range(k)]
+    t_src = np.stack([RigidTransform.identity(rng.normal(size=3)).flat() for _ in range(k)])
     rots, _, _ = decode_transforms(
         ad.constant(rng.normal(size=(k, c))), ad.constant(rng.normal(size=(k, c))),
-        t_source, tiny_params)
+        t_src, tiny_params)
     m = rots.data
     assert np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max() < 1e-6
     assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-6
@@ -196,7 +197,8 @@ def test_default_transfer_graph_is_small():
     params = init_params(PipelineConfig(), seed=0, zero_decoder_out=False)
     src = encode_character(char_context(source.rest), params)
     tgt = encode_character(char_context(target.rest), params)
-    graph = transfer_pose_graph(src.ctx.normalize(posed.vertices), src, tgt, params)
+    frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, params)
+    graph = transfer_pose_graph(frame, tgt, params)
     assert _tape_size(graph.deformed) <= 250
 
 
@@ -210,7 +212,8 @@ def test_frames_against_one_pair_of_encodings_match_pose_transfer(small_char, ti
     rng = np.random.default_rng(8)
     for _ in range(2):
         posed = pose_character(small_char, sample_pose(small_char.n_joints, rng))
-        graph = transfer_pose_graph(src.ctx.normalize(posed.vertices), src, tgt, tiny_params)
+        frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, tiny_params)
+        graph = transfer_pose_graph(frame, tgt, tiny_params)
         expected = pose_transfer(posed, small_char.rest, target.rest, tiny_params)
         assert np.array_equal(tgt.ctx.denormalize(graph.deformed.data),
                               expected.mesh.vertices)
@@ -237,7 +240,8 @@ def test_pose_transfer_equals_taped_run(small_char, tiny_params):
                                                    np.random.default_rng(6)))
     src = encode_character(char_context(small_char.rest), tiny_params)
     tgt = encode_character(char_context(target.rest), tiny_params)
-    graph = transfer_pose_graph(src.ctx.normalize(posed.vertices), src, tgt, tiny_params)
+    frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, tiny_params)
+    graph = transfer_pose_graph(frame, tgt, tiny_params)
     assert _tape_size(graph.deformed) > 1
     out = pose_transfer(posed, small_char.rest, target.rest, tiny_params)
     assert np.array_equal(out.mesh.vertices, tgt.ctx.denormalize(graph.deformed.data))
@@ -245,8 +249,25 @@ def test_pose_transfer_equals_taped_run(small_char, tiny_params):
     assert np.array_equal(out.w_target, tgt.w.data / tgt.w.data.sum(axis=1, keepdims=True))
     assert np.array_equal([tf.rotation for tf in out.transforms], graph.rotations.data)
     assert np.array_equal([tf.translation for tf in out.transforms], graph.translations.data)
-    assert np.array_equal([tf.flat() for tf in out.t_source],
-                          [tf.flat() for tf in graph.t_source])
+    assert np.array_equal([tf.flat() for tf in out.t_source], frame.t_stack)
+
+
+def test_one_frame_decoded_onto_two_targets_matches_separate_frames(small_char, tiny_params):
+    """Reusing a source frame across targets changes no output bit."""
+    targets = [encode_character(char_context(generate_character(CharacterSpec(
+        seed=seed, limb_count=2, segments_per_limb=1, torso_segments=1,
+        ring_verts=4, rings_per_segment=2)).rest), tiny_params) for seed in (4, 5)]
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    posed = pose_character(small_char, sample_pose(small_char.n_joints,
+                                                   np.random.default_rng(9)))
+    posed_norm = src.ctx.normalize(posed.vertices)
+    shared = encode_source_frame(posed_norm, src, tiny_params)
+    for tgt in targets:
+        reused = transfer_pose_graph(shared, tgt, tiny_params)
+        fresh = transfer_pose_graph(encode_source_frame(posed_norm, src, tiny_params),
+                                    tgt, tiny_params)
+        for name in ("deformed", "rotations", "translations"):
+            assert np.array_equal(getattr(reused, name).data, getattr(fresh, name).data), name
 
 
 def test_identity_pipeline_at_zero_init(small_char, tiny_config):
