@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--ablate", action="append", default=[],
                    choices=["edge", "pseudo", "skinning"],
-                   help="disable a loss component (repeatable)")
+                   help="zero a loss component's weight (repeatable)")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("transfer", help="transfer a pose onto a target mesh")
@@ -138,8 +138,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     for name in args.ablate:
-        overrides[{"edge": "use_edge", "pseudo": "use_pseudo",
-                   "skinning": "use_skin"}[name]] = False
+        overrides[{"edge": "lambda_edge", "pseudo": "w_pseudo",
+                   "skinning": "lambda_skin"}[name]] = 0.0
     config = parse_config(args.config, overrides=overrides)
     dataset = load_dataset(args.data)
 

@@ -1,17 +1,16 @@
 """Finite-difference verification suite for the reverse-mode engine.
 
 Covers every primitive op, the network building blocks, the loss
-terms, and the assembled transfer pipeline end to end.  Each entry
-checks the analytic gradient of a scalar function against central
-differences; the pipeline entries subsample coordinates to stay fast.
+terms, and the training objective end to end.  Each entry checks the
+analytic gradient of a scalar function against central differences; the
+pipeline entries subsample coordinates to stay fast.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .articulation import PartCenters
-from .losses import loss_cycle, loss_edge, loss_rec, loss_skin, loss_trans
+from .losses import loss_edge, loss_rec, loss_skin, loss_trans, total_loss, transform_truth
 from .mesh import edge_set, graph_operator, vertex_features
 from .networks import (
     PipelineConfig,
@@ -29,11 +28,14 @@ from .networks import (
     transfer_pose_graph,
 )
 from .synth import CharacterSpec, generate_character, pose_character, sample_pose
+from .train import TrainConfig, loss_components, trans_truth
 
 #: Tolerance for the element-wise / linear-algebra op checks.
 OP_TOL = 1e-4
 #: Tolerance for the assembled pipeline (longer chains, more rounding).
 PIPELINE_TOL = 1e-3
+#: Coordinates each pipeline check samples (each costs two full objectives).
+PIPELINE_COORDS = 24
 
 
 def _t(rng, shape, lo=-1.0, hi=1.0) -> ad.Tensor:
@@ -229,89 +231,69 @@ def _loss_checks(seed: int):
     posed = pose_character(
         char, sample_pose(char.n_joints, np.random.default_rng(seed + 3)))
     flat = ad.Tensor(rng.normal(0, 0.3, size=(k, 12)), requires_grad=True)
-    checks.append(("loss/transform-regression", flat,
-                   lambda t: loss_trans(t, char.rest, posed, char.gt_skinning)))
+    truth = transform_truth(char.rest, posed, char.gt_skinning)
+    checks.append(("loss/transform-regression", flat, lambda t: loss_trans(t, truth)))
     return checks
 
 
-def _pipeline_checks(seed: int, max_coords: int):
-    """End-to-end objective gradients, one per parameter group.
+def _pipeline_checks(seed: int):
+    """Training-objective gradients, one per parameter group: the total
+    loss of a paired and of a cycle sample as ``train.loss_components``
+    computes it under a small ``TrainConfig``.
 
-    The analytic source transforms are estimated once and pinned so the
-    finite-difference probe sees the same stop-gradient the backward
-    pass implements.
+    The objective's three stop-gradients (the source transforms, the
+    cycle's backward transforms and the trans loss's ground truth) are
+    computed once at the base point and pinned, so the finite-difference
+    probe sees the same constants the backward pass implements.
     """
-    rng = np.random.default_rng(seed + 4)
-    config = PipelineConfig(k_parts=5, latent=6, skin_hidden=(7, 6),
-                            enc_hidden=(7, 6), dec_hidden=(8,))
-    params = init_params(config, seed=seed, zero_decoder_out=False)
+    config = TrainConfig(k_parts=5, latent=6, skin_hidden=(7, 6), enc_hidden=(7, 6),
+                         dec_hidden=(8,), n_skin_pairs=64)
+    params = init_params(config.pipeline_config(), seed=seed, zero_decoder_out=False)
 
     mesh_kw = dict(limb_count=2, segments_per_limb=1, torso_segments=1,
                    ring_verts=3, rings_per_segment=2)
     src_char = generate_character(CharacterSpec(seed=seed + 11, **mesh_kw))
     tgt_char = generate_character(CharacterSpec(seed=seed + 12, **mesh_kw))
     pose = sample_pose(src_char.n_joints, np.random.default_rng(seed + 13))
-    posed = pose_character(src_char, pose)
-    gt_posed = pose_character(tgt_char, pose)
-
-    src = char_context(src_char.rest)
-    tgt = char_context(tgt_char.rest)
-    posed_norm = src.normalize(posed.vertices)
-    gt_norm = tgt.normalize(gt_posed.vertices)
-    edges = edge_set(tgt_char.rest)
-    tgt_rest_norm = tgt.mesh.with_vertices(tgt.norm_vertices)
+    src, tgt = char_context(src_char.rest), char_context(tgt_char.rest)
+    posed_norm = src.normalize(pose_character(src_char, pose).vertices)
+    gt_norm = tgt.normalize(pose_character(tgt_char, pose).vertices)
 
     src_enc, tgt_enc = encode_character(src, params), encode_character(tgt, params)
     t_source = source_transforms(src_enc, posed_norm)
-    base_fwd = transfer_pose_graph(encode_source_frame(posed_norm, src_enc, params, t_source),
-                                   tgt_enc, params)
-    t_backward = source_transforms(tgt_enc, base_fwd.deformed.data)
+    base = transfer_pose_graph(encode_source_frame(posed_norm, src_enc, params, t_source),
+                               tgt_enc, params)
+    t_backward = source_transforms(tgt_enc, base.deformed.data)
+    t_truth = trans_truth(base, gt_norm)
 
-    # the objectives encode afresh: each probe perturbs the params
-    def frame():
-        return encode_source_frame(posed_norm, encode_character(src, params), params,
-                                   t_source)
-
-    def paired_objective(_):
-        tgt_enc = encode_character(tgt, params)
-        graph = transfer_pose_graph(frame(), tgt_enc, params)
-        total = loss_rec(graph.deformed, gt_norm)
-        total = total + loss_trans(
-            graph.t_flat, tgt_rest_norm, tgt_rest_norm.with_vertices(gt_norm),
-            tgt_enc.w.data,
-            centers=PartCenters(centers=graph.target_centers.data,
-                                coverage=tgt_enc.w.data.sum(axis=0)))
-        total = total + 0.1 * loss_skin(tgt_enc.w, tgt_char.gt_skinning,
-                                        n_pairs=64, rng_seed=seed)
-        total = total + 0.5 * loss_edge(graph.deformed, tgt_rest_norm, edges=edges)
-        return total
-
-    def cycle_objective(_):
-        return loss_cycle(params, frame(), encode_character(tgt, params),
-                          t_backward=t_backward).total
+    def objective(truth):
+        # encodes afresh: each probe perturbs the params
+        def f(_):
+            src_enc, tgt_enc = encode_character(src, params), encode_character(tgt, params)
+            frame = encode_source_frame(posed_norm, src_enc, params, t_source)
+            skinned = [(src_enc, src_char.gt_skinning), (tgt_enc, tgt_char.gt_skinning)]
+            components = loss_components(frame, tgt_enc, truth, skinned, params, config,
+                                         seed, t_backward=t_backward, t_truth=t_truth)
+            return total_loss(components, config.loss_weights())
+        return f
 
     checks = []
     picks = {"skinning": "skin.conv0.w_neigh", "encoder": "enc.out.w",
              "decoder": "dec.fc0.w"}
     for group, name in picks.items():
-        checks.append((f"pipeline/paired-wrt-{group}", params[name],
-                       paired_objective))
-    checks.append(("pipeline/cycle-wrt-decoder", params["dec.fc1.w"],
-                   cycle_objective))
+        checks.append((f"pipeline/paired-wrt-{group}", params[name], objective(gt_norm)))
+    checks.append(("pipeline/cycle-wrt-decoder", params["dec.fc1.w"], objective(None)))
     return checks
 
 
-def run_gradient_suite(seed: int = 0, max_pipeline_coords: int = 24,
-                       include_pipeline: bool = True):
+def run_gradient_suite(seed: int = 0):
     """Run every gradient check; returns [(name, GradcheckReport), ...]."""
     results = []
     rng = np.random.default_rng(seed + 99)
     for name, x, f in _op_checks(seed) + _network_checks(seed) + _loss_checks(seed):
         results.append((name, ad.gradcheck(f, x, tol=OP_TOL,
                                            max_coords=120, rng=rng)))
-    if include_pipeline:
-        for name, x, f in _pipeline_checks(seed, max_pipeline_coords):
-            results.append((name, ad.gradcheck(f, x, tol=PIPELINE_TOL,
-                                               max_coords=max_pipeline_coords,
-                                               rng=rng)))
+    for name, x, f in _pipeline_checks(seed):
+        results.append((name, ad.gradcheck(f, x, tol=PIPELINE_TOL,
+                                           max_coords=PIPELINE_COORDS, rng=rng)))
     return results

@@ -15,37 +15,13 @@ from . import autodiff as ad
 from .articulation import PartCenters, hard_assignment, hard_part_transforms, part_centers
 from .mesh import Mesh, edge_set
 from .networks import (
-    CharEncoding,
     PoseTransferParams,
-    SourceFrame,
     TransferGraph,
     _renormalized,
     encode_source_frame,
     lbs_tensor,
     transfer_pose_graph,
 )
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Combination weights for the total objective.
-
-    The pseudo-ground-truth weight inside the cycle loss is 0.3; the
-    remaining weights are configuration defaults.
-    """
-
-    rec: float = 1.0
-    trans: float = 1.0
-    cyc: float = 1.0
-    skin: float = 0.1
-    edge: float = 0.5
-    w_pseudo: float = 0.3
-
-    def __post_init__(self):
-        for name in ("rec", "trans", "cyc", "skin", "edge"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be non-negative, "
-                                 f"got {getattr(self, name)}")
 
 
 def _mean_l1(a, b) -> ad.Tensor:
@@ -63,24 +39,30 @@ def loss_rec(pred, gt) -> ad.Tensor:
     return _mean_l1(pred_t, ad.constant(gt_arr))
 
 
-def loss_trans(pred_flat, rest: Mesh, gt_posed: Mesh, w: np.ndarray,
-               centers: PartCenters | None = None) -> ad.Tensor:
-    """L1 between predicted part transforms and analytic ground truth.
-
-    Ground truth comes from unweighted Kabsch on argmax-assigned vertex
-    groups; parts with fewer than 3 assigned vertices are skipped.  The
-    prediction is the (K, 12) flattened transform tensor.
+def transform_truth(rest: Mesh, gt_posed: Mesh, w: np.ndarray,
+                    centers: PartCenters | None = None) -> list:
+    """Analytic ground truth of the part transforms from ``rest`` to
+    ``gt_posed``: unweighted Kabsch on argmax-assigned vertex groups of
+    ``w``, about ``centers`` (by default the renormalized ``w``'s).  Parts
+    with fewer than 3 assigned vertices are None.
     """
-    pred_flat = ad.as_tensor(pred_flat)
     w = _renormalized(np.asarray(w, dtype=np.float64))
     if centers is None:
         centers = part_centers(rest, w)
-    labels = hard_assignment(w)
-    gt = hard_part_transforms(rest, gt_posed, labels, centers)
-    keep = [k for k, tf in enumerate(gt) if tf is not None]
+    return hard_part_transforms(rest, gt_posed, hard_assignment(w), centers)
+
+
+def loss_trans(pred_flat, truth: list) -> ad.Tensor:
+    """L1 between predicted part transforms and their analytic ground truth.
+
+    ``pred_flat`` is the (K, 12) flattened transform tensor and ``truth``
+    the per-part list of ``transform_truth``; skipped parts do not count.
+    """
+    pred_flat = ad.as_tensor(pred_flat)
+    keep = [k for k, tf in enumerate(truth) if tf is not None]
     if not keep:
         return ad.Tensor(0.0)
-    gt_rows = ad.constant(np.stack([gt[k].flat() for k in keep]))
+    gt_rows = ad.constant(np.stack([truth[k].flat() for k in keep]))
     return _mean_l1(ad.rows(pred_flat, np.array(keep)), gt_rows)
 
 
@@ -148,49 +130,49 @@ class CycleResult:
     pseudo_target: np.ndarray
 
 
-def loss_cycle(params: PoseTransferParams, frame: SourceFrame, target: CharEncoding,
-               t_backward=None, w_pseudo: float = 0.3,
-               use_pseudo: bool = True) -> CycleResult:
-    """Source -> target -> source round trip plus pseudo-ground truth.
+def loss_cycle(params: PoseTransferParams, fwd: TransferGraph, w_pseudo: float,
+               t_backward=None) -> CycleResult:
+    """Source -> target -> source round trip of the forward transfer
+    ``fwd``, plus pseudo-ground truth weighted by ``w_pseudo``.
 
     All geometry lives in the normalized per-character frames.  The
     backward pass runs between the same two encodings, from a frame of
     the live predicted target; its analytic transforms are recomputed
     from the (detached) prediction and enter the graph as constants
     unless ``t_backward`` pins them (gradient checking does, so both
-    stop-gradients stay fixed).
+    stop-gradients stay fixed).  At ``w_pseudo = 0`` the pseudo term is
+    not computed and reads 0.
     """
-    fwd = transfer_pose_graph(frame, target, params)
+    frame, target = fwd.frame, fwd.target
     bwd = transfer_pose_graph(
         encode_source_frame(fwd.deformed, target, params, t_backward), frame.source, params)
     cycle_term = loss_rec(bwd.deformed, ad.constant(frame.posed.data))
 
-    pseudo = None
+    pseudo = np.zeros(0)
     pseudo_term = ad.Tensor(0.0)
-    if use_pseudo:
+    total = cycle_term
+    if w_pseudo:
         k = frame.t_stack.shape[0]
         pseudo = lbs_tensor(target.ctx.norm_vertices, ad.constant(target.w.data),
                             ad.constant(frame.t_stack[:, :9].reshape(k, 3, 3)),
                             ad.constant(frame.t_stack[:, 9:]),
                             ad.constant(fwd.target_centers.data)).data
         pseudo_term = loss_rec(fwd.deformed, ad.constant(pseudo))
-    total = cycle_term + w_pseudo * pseudo_term if use_pseudo else cycle_term
+        total = cycle_term + w_pseudo * pseudo_term
     return CycleResult(total=total, cycle_term=cycle_term, pseudo_term=pseudo_term,
-                       forward=fwd, backward=bwd,
-                       pseudo_target=pseudo if pseudo is not None else np.zeros(0))
+                       forward=fwd, backward=bwd, pseudo_target=pseudo)
 
 
-def total_loss(components: dict, weights: LossWeights) -> ad.Tensor:
-    """Weighted sum of whatever components the batch supplies.
+def total_loss(components: dict, weights: dict) -> ad.Tensor:
+    """Weighted sum of whatever components the batch supplies, in the
+    order of ``weights`` (term name -> weight).
 
     Paired batches carry rec + trans, unpaired batches carry cyc; skin
     and edge apply in both when present.  Missing components count as 0.
     """
     out = ad.Tensor(0.0)
-    for name, lam in (("rec", weights.rec), ("trans", weights.trans),
-                      ("cyc", weights.cyc), ("skin", weights.skin),
-                      ("edge", weights.edge)):
+    for name, lam in weights.items():
         term = components.get(name)
-        if term is not None and lam != 0.0:
+        if term is not None:
             out = out + lam * ad.as_tensor(term)
     return out

@@ -20,18 +20,21 @@ import numpy as np
 from .articulation import PartCenters
 from .evaluation import pmd
 from .losses import (
-    LossWeights,
     loss_cycle,
     loss_edge,
     loss_rec,
     loss_skin,
     loss_trans,
     total_loss,
+    transform_truth,
 )
 from .networks import (
     CharContext,
+    CharEncoding,
     PipelineConfig,
     PoseTransferParams,
+    SourceFrame,
+    TransferGraph,
     char_context,
     empty_params,
     encode_character,
@@ -41,7 +44,9 @@ from .networks import (
 )
 from .synth import Dataset
 
-METRICS_HEADER = ["step", "mode", "total", "rec", "trans", "cyc", "skin", "edge", "pmd_probe"]
+#: The loss terms; term ``name`` has the weight ``TrainConfig.lambda_<name>``.
+LOSS_TERMS = ("rec", "trans", "cyc", "skin", "edge")
+METRICS_HEADER = ["step", "mode", "total", *LOSS_TERMS, "pmd_probe"]
 
 
 class ConfigError(ValueError):
@@ -72,9 +77,6 @@ class TrainConfig:
     seed: int = 0
     ckpt_every: int = 100
     probe_every: int = 10
-    use_edge: bool = True
-    use_pseudo: bool = True
-    use_skin: bool = True
     lambda_rec: float = 1.0
     lambda_trans: float = 1.0
     lambda_cyc: float = 1.0
@@ -105,10 +107,9 @@ class TrainConfig:
         for name in ("seed", "steps", "ckpt_every", "probe_every", "n_skin_pairs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        try:
-            self.loss_weights()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, weight in {**self.loss_weights(), "w_pseudo": self.w_pseudo}.items():
+            if weight < 0:
+                raise ConfigError(f"loss weight {name} must be non-negative, got {weight}")
 
     def lr_at(self, step: int) -> float:
         """Learning rate for a given step under the configured schedule."""
@@ -118,15 +119,9 @@ class TrainConfig:
         lo = self.lr * self.lr_floor
         return lo + 0.5 * (self.lr - lo) * (1.0 + np.cos(np.pi * frac))
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            rec=self.lambda_rec,
-            trans=self.lambda_trans,
-            cyc=self.lambda_cyc,
-            skin=self.lambda_skin if self.use_skin else 0.0,
-            edge=self.lambda_edge if self.use_edge else 0.0,
-            w_pseudo=self.w_pseudo,
-        )
+    def loss_weights(self) -> dict:
+        """Loss term name -> its ``lambda_*`` weight, in ``LOSS_TERMS`` order."""
+        return {name: getattr(self, f"lambda_{name}") for name in LOSS_TERMS}
 
     def pipeline_config(self) -> PipelineConfig:
         return PipelineConfig(k_parts=self.k_parts, latent=self.latent,
@@ -136,13 +131,6 @@ class TrainConfig:
 
 
 def _coerce(value: str, default):
-    if isinstance(default, bool):
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"expected boolean, got {value!r}")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
@@ -311,55 +299,72 @@ class _ContextCache:
         return entry[1]
 
 
+def trans_truth(graph: TransferGraph, posed) -> list:
+    """The trans loss's ground truth for ``graph``: the target's rest onto
+    ``posed`` (normalized) under its detached skinning and part centers."""
+    target = graph.target
+    rest = target.ctx.mesh.with_vertices(target.ctx.norm_vertices)
+    w = target.w.data
+    return transform_truth(rest, rest.with_vertices(posed), w,
+                           centers=PartCenters(centers=graph.target_centers.data,
+                                               coverage=w.sum(axis=0)))
+
+
+def loss_components(frame: SourceFrame, target: CharEncoding, truth, skinned: list,
+                    params: PoseTransferParams, config: TrainConfig, skin_seed: int,
+                    t_backward=None, t_truth=None) -> dict:
+    """Loss components of one sample: ``frame`` decoded onto ``target``.
+
+    A paired sample (``truth`` holds the target's posed vertices,
+    normalized) carries rec + trans, a cycle sample (``truth`` is None)
+    carries cyc (cycle + pseudo); skin, averaged over the ``(encoding, gt
+    skinning)`` pairs of ``skinned``, and edge apply to both.  A term
+    whose weight in ``config`` is 0 is not computed.
+
+    ``t_backward`` and ``t_truth`` pin the stop-gradients that the
+    objective derives from the live prediction, the cycle's backward
+    transforms and the trans loss's ground truth: gradient checking fills
+    them once at its base point, training leaves them empty.
+    """
+    graph = transfer_pose_graph(frame, target, params)
+    if truth is not None:
+        terms = {"rec": lambda: loss_rec(graph.deformed, truth),
+                 "trans": lambda: loss_trans(graph.t_flat, t_truth if t_truth is not None
+                                             else trans_truth(graph, truth))}
+    else:
+        terms = {"cyc": lambda: loss_cycle(params, graph, config.w_pseudo, t_backward).total}
+    if skinned:
+        def skin():
+            parts = [loss_skin(enc.w, gt, n_pairs=config.n_skin_pairs, rng_seed=skin_seed,
+                               clamp=config.skin_clamp) for enc, gt in skinned]
+            return sum(parts[1:], parts[0]) * (1.0 / len(parts))
+        terms["skin"] = skin
+    terms["edge"] = lambda: loss_edge(
+        graph.deformed, target.ctx.mesh.with_vertices(target.ctx.norm_vertices),
+        edges=target.ctx.graph.edges)
+    weights = config.loss_weights()
+    return {name: term() for name, term in terms.items() if weights[name]}
+
+
 def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
                      cache: _ContextCache, params: PoseTransferParams,
                      config: TrainConfig, seed: int) -> dict:
-    """Loss components for one batch sample.
-
-    A paired batch (both characters share the pose) carries rec + trans,
-    a static-target batch carries cyc (cycle + pseudo); skin and edge
-    apply to both.
-    """
+    """Loss components for one batch sample: a paired batch (both
+    characters share the pose) or a static-target batch."""
     src = encode_character(cache.context(src_sample), params)
     tgt = encode_character(cache.context(tgt_sample), params)
     frame = encode_source_frame(src.ctx.normalize(src_sample.poses[pose_idx][1].vertices),
                                 src, params)
-    tgt_rest_norm = tgt.ctx.mesh.with_vertices(tgt.ctx.norm_vertices)
-    if paired:
-        gt_norm = tgt.ctx.normalize(tgt_sample.poses[pose_idx][1].vertices)
-        graph = transfer_pose_graph(frame, tgt, params)
-        components = {
-            "rec": loss_rec(graph.deformed, gt_norm),
-            "trans": loss_trans(
-                graph.t_flat, tgt_rest_norm, tgt_rest_norm.with_vertices(gt_norm),
-                tgt.w.data,
-                centers=PartCenters(centers=graph.target_centers.data,
-                                    coverage=tgt.w.data.sum(axis=0))),
-        }
-    else:
-        cyc = loss_cycle(params, frame, tgt, w_pseudo=config.w_pseudo,
-                         use_pseudo=config.use_pseudo)
-        graph = cyc.forward
-        components = {"cyc": cyc.total}
-    if config.use_skin:
-        terms = [loss_skin(enc.w, sample.gt_skinning, n_pairs=config.n_skin_pairs,
-                           rng_seed=seed, clamp=config.skin_clamp)
-                 for enc, sample in ((src, src_sample), (tgt, tgt_sample))
-                 if sample.gt_skinning is not None]
-        if terms:
-            components["skin"] = sum(terms[1:], terms[0]) * (1.0 / len(terms))
-    if config.use_edge:
-        components["edge"] = loss_edge(graph.deformed, tgt_rest_norm,
-                                       edges=tgt.ctx.graph.edges)
-    return components
+    truth = tgt.ctx.normalize(tgt_sample.poses[pose_idx][1].vertices) if paired else None
+    skinned = [(enc, sample.gt_skinning)
+               for enc, sample in ((src, src_sample), (tgt, tgt_sample))
+               if sample.gt_skinning is not None]
+    return loss_components(frame, tgt, truth, skinned, params, config, seed)
 
 
 def _component_report(components: dict) -> dict:
-    report = {}
-    for name in ("rec", "trans", "cyc", "skin", "edge"):
-        term = components.get(name)
-        report[name] = float(term.data) if term is not None else 0.0
-    return report
+    return {name: float(components[name].data) if name in components else 0.0
+            for name in LOSS_TERMS}
 
 
 def _batch_rng(seed: int, step: int, substep: int) -> np.random.Generator:
@@ -434,6 +439,7 @@ class FitResult:
     final_checkpoint: str | None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
         resume_from=None, log=None) -> FitResult:
     """Run the training loop; optionally write checkpoints + metrics CSV.
@@ -441,6 +447,8 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
     A non-finite loss, gradient or updated parameter, or a forward pass
     that overflows, raises ``TrainingDiverged`` naming the step before
     any checkpoint or metrics row is written from the poisoned params.
+    Those checks are how divergence surfaces, so NumPy's overflow and
+    invalid-value warnings are silenced for the run.
     """
     if resume_from is not None:
         params, opt, start_step, config = load_checkpoint(resume_from)
@@ -484,7 +492,7 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
         params.zero_grads()
 
         row = {k: float(np.mean([r[k] for r in accum_reports]))
-               for k in ("total", "rec", "trans", "cyc", "skin", "edge")}
+               for k in ("total", *LOSS_TERMS)}
         if config.probe_every and (step + 1) % config.probe_every == 0:
             with _diverged_at(step):
                 last_probe = _probe_pmd(dataset, params)

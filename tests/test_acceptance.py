@@ -71,7 +71,7 @@ def seeded_runs(default_dataset):
     for seed in (0, 1, 2):
         full = fit(default_dataset, TrainConfig(seed=seed, probe_every=0))
         ablated = fit(default_dataset,
-                      TrainConfig(seed=seed, probe_every=0, use_pseudo=False))
+                      TrainConfig(seed=seed, probe_every=0, w_pseudo=0.0))
         runs[seed] = (full.params, ablated.params)
     return runs
 

@@ -246,6 +246,13 @@ def test_gradcheck_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_gradcheck_pins_the_trans_truth(capsys):
+    # seed 2's paired-wrt-skinning check fails unless the trans loss's
+    # ground truth is held at the base point like the other stop-gradients
+    assert main(["gradcheck", "--seed", "2"]) == EXIT_OK
+    assert "all 32 gradient checks passed" in capsys.readouterr().out
+
+
 def test_skinning_export(workspace, tmp_path):
     out = tmp_path / "parts.obj"
     assert main(["skinning", "--ckpt", str(workspace / "run" / "ckpt_final.npz"),
@@ -350,6 +357,12 @@ MALFORMED = [
     ("train-negative-loss-weight", EXIT_USER, "loss weight rec",
      lambda ws, t: _train(ws, t, config=_write(
          t / "t.cfg", (ws / "train.cfg").read_text() + "lambda_rec = -1\n"))),
+    ("train-negative-pseudo-weight", EXIT_USER, "loss weight w_pseudo",
+     lambda ws, t: _train(ws, t, config=_write(
+         t / "t.cfg", (ws / "train.cfg").read_text() + "w_pseudo = -1\n"))),
+    ("train-removed-ablation-key", EXIT_USER, "unknown key 'use_pseudo'",
+     lambda ws, t: _train(ws, t, config=_write(
+         t / "t.cfg", (ws / "train.cfg").read_text() + "use_pseudo = false\n"))),
     ("train-negative-seed", EXIT_USER, "seed",
      lambda ws, t: _train(ws, t, "--seed", "-1")),
     ("train-negative-steps", EXIT_USER, "steps",

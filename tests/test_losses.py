@@ -4,7 +4,6 @@ import pytest
 from posetransfer import autodiff as ad
 from posetransfer.articulation import RigidTransform, lbs_deform, part_centers
 from posetransfer.losses import (
-    LossWeights,
     loss_cycle,
     loss_edge,
     loss_rec,
@@ -12,6 +11,7 @@ from posetransfer.losses import (
     loss_trans,
     skin_loss_pairs,
     total_loss,
+    transform_truth,
 )
 from posetransfer.mesh import Mesh, edge_set
 from posetransfer.networks import (
@@ -19,6 +19,7 @@ from posetransfer.networks import (
     encode_character,
     encode_source_frame,
     init_params,
+    transfer_pose_graph,
 )
 from posetransfer.synth import pose_character, sample_pose
 
@@ -75,7 +76,7 @@ def test_loss_trans_zero_when_prediction_matches_ground_truth():
                                  translation=rng.normal(size=3)) for _ in range(2)]
     posed = lbs_deform(mesh, w, transforms)
     pred = np.stack([tf.flat() for tf in transforms])
-    val = loss_trans(ad.constant(pred), mesh, posed, w).item()
+    val = loss_trans(ad.constant(pred), transform_truth(mesh, posed, w)).item()
     assert val < 1e-6
 
 
@@ -87,7 +88,7 @@ def test_loss_trans_rest_pose_targets_rest_preserving_transforms():
     w[6:, 1] = 1.0
     pc = part_centers(mesh, w)
     pred = np.stack([RigidTransform.identity(c).flat() for c in pc.centers])
-    val = loss_trans(ad.constant(pred), mesh, mesh, w).item()
+    val = loss_trans(ad.constant(pred), transform_truth(mesh, mesh, w)).item()
     assert val < 1e-9
 
 
@@ -102,7 +103,7 @@ def test_loss_trans_penalizes_translation_error():
     bad = good.copy()
     bad[0, 9:] += 0.6  # shift part-0 translation by 0.6 in every axis
     # mean L1 over 2 parts x 12 numbers: 3 entries off by 0.6 -> 1.8 / 24
-    diff = loss_trans(ad.constant(bad), mesh, mesh, w).item()
+    diff = loss_trans(ad.constant(bad), transform_truth(mesh, mesh, w)).item()
     assert abs(diff - 1.8 / 24.0) < 1e-9
 
 
@@ -203,7 +204,9 @@ def test_loss_cycle_near_zero_for_rest_pose_at_identity_init(small_char, tiny_co
     params = init_params(tiny_config, seed=0)  # zero decoder output layer
     src = encode_character(char_context(small_char.rest), params)
     tgt = encode_character(char_context(small_char.rest), params)
-    out = loss_cycle(params, encode_source_frame(src.ctx.norm_vertices, src, params), tgt)
+    fwd = transfer_pose_graph(encode_source_frame(src.ctx.norm_vertices, src, params), tgt,
+                              params)
+    out = loss_cycle(params, fwd, w_pseudo=0.3)
     assert out.total.item() < 1e-6
     assert out.cycle_term.item() < 1e-6
     assert out.pseudo_term.item() < 1e-6
@@ -216,8 +219,9 @@ def test_loss_cycle_recomposes_from_two_transfers(small_char, tiny_params):
     src = encode_character(char_context(small_char.rest), tiny_params)
     tgt = encode_character(char_context(small_char.rest), tiny_params)
     posed_norm = src.ctx.normalize(posed.vertices)
-    out = loss_cycle(tiny_params, encode_source_frame(posed_norm, src, tiny_params), tgt,
-                     w_pseudo=0.3)
+    fwd = transfer_pose_graph(encode_source_frame(posed_norm, src, tiny_params), tgt,
+                              tiny_params)
+    out = loss_cycle(tiny_params, fwd, w_pseudo=0.3)
     # rebuild both terms from the graphs the loss returns
     cyc = np.abs(out.backward.deformed.data - posed_norm).mean()
     pseudo = np.abs(out.forward.deformed.data - out.pseudo_target).mean()
@@ -233,9 +237,11 @@ def test_loss_cycle_pseudo_disabled(small_char, tiny_params):
     posed = pose_character(small_char, pose)
     src = encode_character(char_context(small_char.rest), tiny_params)
     posed_norm = src.ctx.normalize(posed.vertices)
-    out = loss_cycle(tiny_params, encode_source_frame(posed_norm, src, tiny_params), src,
-                     use_pseudo=False)
+    fwd = transfer_pose_graph(encode_source_frame(posed_norm, src, tiny_params), src,
+                              tiny_params)
+    out = loss_cycle(tiny_params, fwd, w_pseudo=0.0)
     assert out.pseudo_term.item() == 0.0
+    assert out.pseudo_target.size == 0  # not computed
     assert abs(out.total.item() - out.cycle_term.item()) < 1e-12
 
 
@@ -246,7 +252,7 @@ def test_loss_cycle_backward_reuses_forward_skinnings(small_char, tiny_params):
     src = encode_character(char_context(small_char.rest), tiny_params)
     tgt = encode_character(char_context(small_char.rest), tiny_params)
     frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, tiny_params)
-    out = loss_cycle(tiny_params, frame, tgt)
+    out = loss_cycle(tiny_params, transfer_pose_graph(frame, tgt, tiny_params), w_pseudo=0.3)
     assert out.forward.frame.source is out.backward.target is src
     assert out.forward.target is out.backward.frame.source is tgt
 
@@ -256,23 +262,18 @@ def test_loss_cycle_backward_reuses_forward_skinnings(small_char, tiny_params):
 def test_total_loss_weighted_sum():
     comps = {"rec": ad.Tensor(2.0), "trans": ad.Tensor(3.0),
              "skin": ad.Tensor(1.0), "edge": ad.Tensor(4.0)}
-    w = LossWeights(rec=1.0, trans=0.5, cyc=1.0, skin=0.1, edge=0.25)
+    w = {"rec": 1.0, "trans": 0.5, "cyc": 1.0, "skin": 0.1, "edge": 0.25}
     assert abs(total_loss(comps, w).item() - (2.0 + 1.5 + 0.1 + 1.0)) < 1e-12
 
 
 def test_total_loss_missing_components_count_as_zero():
     comps = {"cyc": ad.Tensor(5.0)}
-    w = LossWeights(cyc=0.5)
+    w = {"rec": 1.0, "trans": 1.0, "cyc": 0.5, "skin": 0.1, "edge": 0.5}
     assert total_loss(comps, w).item() == 2.5
 
 
 def test_total_loss_halved_weight_halves_term():
     comps = {"rec": ad.Tensor(4.0)}
-    full = total_loss(comps, LossWeights(rec=1.0)).item()
-    half = total_loss(comps, LossWeights(rec=0.5)).item()
+    full = total_loss(comps, {"rec": 1.0}).item()
+    half = total_loss(comps, {"rec": 0.5}).item()
     assert abs(half - 0.5 * full) < 1e-12
-
-
-def test_loss_weights_reject_negative():
-    with pytest.raises(ValueError):
-        LossWeights(rec=-0.1)
