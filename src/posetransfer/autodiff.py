@@ -135,8 +135,13 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64))
 
 
+def _live(t: Tensor) -> bool:
+    """Whether gradients flow into ``t``: it requires them or has a tape."""
+    return t.requires_grad or bool(t._vjps)
+
+
 def _make(data, pairs) -> Tensor:
-    vjps = [(p, fn) for p, fn in pairs if p.requires_grad or p._vjps]
+    vjps = [(p, fn) for p, fn in pairs if _live(p)]
     return Tensor(data, requires_grad=any(p.requires_grad for p, _ in vjps) or
                   any(p.requires_grad for p, _ in pairs), _vjps=vjps)
 
@@ -247,10 +252,46 @@ def einsum(spec: str, a, b) -> Tensor:
                   (b, lambda g: np.einsum(f"{sa},{out}->{sb}", a.data, g))])
 
 
-def sparse_matmul(a: sp.spmatrix, x) -> Tensor:
-    """Left-multiply by a fixed sparse operator (the mesh graph operator)."""
-    x = as_tensor(x)
-    return _make(a @ x.data, [(x, lambda g: a.T @ g)])
+def graph_conv(a: sp.spmatrix, h, w_neigh, w_self, bias, alpha: float) -> Tensor:
+    """One graph convolution layer, ``leaky_relu(A h W_neigh + h W_self + b)``
+    with ``A`` a fixed sparse operator, as one tape node.
+
+    The float ops and their order are those of the composition of
+    ``leaky_relu``, ``matmul`` and ``add``, so values and gradients are
+    bitwise the same; the node keeps only ``A h`` (when ``w_neigh`` is
+    live) and the leak mask, where the composition kept six nodes of
+    ``(N, d)`` arrays.  With no live input it records nothing.
+    """
+    h, w_neigh, w_self, bias = inputs = [as_tensor(t) for t in (h, w_neigh, w_self, bias)]
+    ah = a @ h.data
+    out = ah @ w_neigh.data
+    if not _live(w_neigh):
+        ah = None
+    out += h.data @ w_self.data
+    out += bias.data
+    leak = ~(out > 0.0)
+    np.multiply(out, alpha, out=out, where=leak)
+    live = [i for i, t in enumerate(inputs) if _live(t)]
+    if not live:
+        return Tensor(out)
+    rules = (lambda g: a.T @ (g @ w_neigh.data.T) + g @ w_self.data.T,
+             lambda g: ah.T @ g,
+             lambda g: h.data.T @ g,
+             lambda g: _unbroadcast(g, bias.shape))
+    pending: dict = {}
+
+    def vjp(i):
+        def fn(g):
+            # backward() calls each live input's fn once, in turn, with one
+            # ``g``: the first call forms every gradient from a leaked copy
+            if not pending:
+                g = g.copy()
+                np.multiply(g, alpha, out=g, where=leak)
+                pending.update({j: rules[j](g) for j in live})
+            return pending.pop(i)
+        return fn
+
+    return _make(out, [(inputs[i], vjp(i)) for i in live])
 
 
 def transpose(a) -> Tensor:

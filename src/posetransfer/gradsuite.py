@@ -85,9 +85,16 @@ def _op_checks(seed: int):
                          torso_segments=1, ring_verts=3, rings_per_segment=2)
     char = generate_character(spec)
     graph = graph_operator(char.rest)
-    x = _t(rng, (char.rest.n_vertices, 4))
-    checks.append(("sparse-matmul", x,
-                   lambda t: ad.mean(ad.sparse_matmul(graph.matrix, t))))
+    n = char.rest.n_vertices
+    conv = [rng.normal(size=shape) for shape in ((n, 4), (4, 3), (4, 3), (3,))]
+    conv_coeff = rng.normal(size=(n, 3))
+    for i, name in enumerate(("h", "w-neigh", "w-self", "bias")):
+        def conv_objective(t, i=i):
+            args = [t if j == i else ad.constant(a) for j, a in enumerate(conv)]
+            return ad.mean(ad.graph_conv(graph.matrix, *args, alpha=0.2)
+                           * ad.constant(conv_coeff))
+        checks.append((f"graph-conv/{name}", ad.Tensor(conv[i].copy(), requires_grad=True),
+                       conv_objective))
 
     x = _t(rng, (3, 5))
     other = rng.normal(size=(3, 5))

@@ -156,7 +156,7 @@ def loss_cycle(params: PoseTransferParams, fwd: TransferGraph, w_pseudo: float,
         pseudo = lbs_tensor(target.ctx.norm_vertices, ad.constant(target.w.data),
                             ad.constant(frame.t_stack[:, :9].reshape(k, 3, 3)),
                             ad.constant(frame.t_stack[:, 9:]),
-                            ad.constant(fwd.target_centers.data)).data
+                            ad.constant(target.centers.data)).data
         pseudo_term = loss_rec(fwd.deformed, ad.constant(pseudo))
         total = cycle_term + w_pseudo * pseudo_term
     return CycleResult(total=total, cycle_term=cycle_term, pseudo_term=pseudo_term,

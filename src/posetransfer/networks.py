@@ -13,13 +13,14 @@ Three networks cooperate:
 
 A transfer runs in three stages, each reusable by the next:
 
-1. character encoding (``encode_character``): the skinning weights and
-   rest part latents of one rest mesh, shared by every frame;
+1. character encoding (``encode_character``): the skinning weights,
+   rest part latents and part centers of one rest mesh, shared by every
+   frame;
 2. source frame (``encode_source_frame``): the pose delta and the
    analytic source transforms of one posed source, shared by every
    target;
-3. per-target step (``transfer_pose_graph``): decoder, part centers and
-   LBS of one frame onto one target.
+3. per-target step (``transfer_pose_graph``): decoder and LBS of one
+   frame onto one target.
 
 The decoder output parameterizes rotations with the continuous 6D
 representation and is composed onto the analytic source transform, so a
@@ -31,6 +32,7 @@ with respect to gradients: transforms enter the graph as fixed inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,11 +164,9 @@ def _conv_stack(x, graph: GraphOperator, params: PoseTransferParams, prefix: str
     h = ad.as_tensor(x)
     for i in range(depth):
         layer = f"{prefix}.conv{i}."
-        h = ad.leaky_relu(
-            ad.sparse_matmul(graph.matrix, h) @ params[layer + "w_neigh"]
-            + h @ params[layer + "w_self"] + params[layer + "bias"],
-            alpha=params.config.leak,
-        )
+        h = ad.graph_conv(graph.matrix, h, params[layer + "w_neigh"],
+                          params[layer + "w_self"], params[layer + "bias"],
+                          alpha=params.config.leak)
     return h
 
 
@@ -293,6 +293,11 @@ class CharEncoding:
     w: ad.Tensor  # (N, K) skinning weights
     z: ad.Tensor  # (K, C) rest part latents
 
+    @cached_property
+    def centers(self) -> ad.Tensor:
+        """(K, 3) part centers under ``w``, computed on first use."""
+        return centers_tensor(self.w, self.ctx.norm_vertices)
+
 
 def encode_character(ctx: CharContext, params: PoseTransferParams) -> CharEncoding:
     w = predict_skinning(ctx.features, ctx.graph, params)
@@ -354,22 +359,19 @@ class TransferGraph:
     rotations: ad.Tensor  # (K, 3, 3)
     translations: ad.Tensor  # (K, 3)
     t_flat: ad.Tensor  # (K, 12)
-    target_centers: ad.Tensor  # (K, 3)
 
 
 def transfer_pose_graph(frame: SourceFrame, target: CharEncoding,
                         params: PoseTransferParams) -> TransferGraph:
     """Build the differentiable graph of one frame's transfer onto ``target``:
-    decoder, target part centers and LBS."""
+    decoder and LBS about the target's part centers."""
     rotations, translations, t_flat = decode_transforms(
         target.z, frame.z_delta, frame.t_stack, params)
-    tgt = target.ctx
-    target_centers = centers_tensor(target.w, tgt.norm_vertices)
-    deformed = lbs_tensor(tgt.norm_vertices, target.w, rotations,
-                          translations, target_centers)
+    deformed = lbs_tensor(target.ctx.norm_vertices, target.w, rotations,
+                          translations, target.centers)
     return TransferGraph(deformed=deformed, frame=frame, target=target,
                          rotations=rotations, translations=translations,
-                         t_flat=t_flat, target_centers=target_centers)
+                         t_flat=t_flat)
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .articulation import PartCenters
 from .evaluation import pmd
 from .losses import (
@@ -282,21 +283,50 @@ def load_checkpoint(path):
 
 # ---- batch construction ------------------------------------------------
 
-class _ContextCache:
-    """Per-character pipeline precomputation, keyed by sample identity.
+class _CharacterCache:
+    """Per-character work of one fit, keyed by sample identity.
 
-    Each entry keeps its sample alive and is returned only for that very
-    object, so a recycled ``id`` can never hit a stale entry.
+    A sample's context is computed once per fit.  The params do not
+    change within an optimiser step, so each character is encoded once
+    per step on the live params, and every sample of the step reads leaf
+    copies of that encoding's ``w`` and ``z``.  After the character's last
+    sample, ``release`` pushes the gradients the samples left on the
+    copies through the encoder tape in one backward and drops the tape.
+
+    Each context entry keeps its sample alive and is returned only for
+    that very object, so a recycled ``id`` can never hit a stale entry.
     """
 
     def __init__(self):
-        self._entries: dict = {}
+        self._contexts: dict = {}
+        self._encodings: dict = {}
 
     def context(self, sample) -> CharContext:
-        entry = self._entries.get(id(sample))
+        entry = self._contexts.get(id(sample))
         if entry is None or entry[0] is not sample:
-            entry = self._entries[id(sample)] = (sample, char_context(sample.rest))
+            entry = self._contexts[id(sample)] = (sample, char_context(sample.rest))
         return entry[1]
+
+    def encoding(self, sample, params: PoseTransferParams) -> CharEncoding:
+        """``sample``'s encoding for this step, as leaf copies."""
+        entry = self._encodings.get(id(sample))
+        if entry is None:
+            taped = encode_character(self.context(sample), params)
+            leaves = CharEncoding(ctx=taped.ctx, w=ad.Tensor(taped.w.data, requires_grad=True),
+                                  z=ad.Tensor(taped.z.data, requires_grad=True))
+            entry = self._encodings[id(sample)] = (taped, leaves)
+        return entry[1]
+
+    def release(self, sample) -> None:
+        """Backpropagate ``sample``'s step gradients through its encoder."""
+        taped, leaves = self._encodings.pop(id(sample))
+        # the gradient of sum(t * g) with respect to t is g: its backward
+        # pushes each copy's gradient g through the tape behind t
+        terms = [ad.sum_(t * ad.constant(leaf.grad))
+                 for t, leaf in ((taped.w, leaves.w), (taped.z, leaves.z))
+                 if leaf.grad is not None]
+        if terms:
+            sum(terms[1:], terms[0]).backward()
 
 
 def trans_truth(graph: TransferGraph, posed) -> list:
@@ -306,7 +336,7 @@ def trans_truth(graph: TransferGraph, posed) -> list:
     rest = target.ctx.mesh.with_vertices(target.ctx.norm_vertices)
     w = target.w.data
     return transform_truth(rest, rest.with_vertices(posed), w,
-                           centers=PartCenters(centers=graph.target_centers.data,
+                           centers=PartCenters(centers=target.centers.data,
                                                coverage=w.sum(axis=0)))
 
 
@@ -347,12 +377,12 @@ def loss_components(frame: SourceFrame, target: CharEncoding, truth, skinned: li
 
 
 def batch_components(src_sample, tgt_sample, pose_idx: int, paired: bool,
-                     cache: _ContextCache, params: PoseTransferParams,
+                     cache: _CharacterCache, params: PoseTransferParams,
                      config: TrainConfig, seed: int) -> dict:
     """Loss components for one batch sample: a paired batch (both
     characters share the pose) or a static-target batch."""
-    src = encode_character(cache.context(src_sample), params)
-    tgt = encode_character(cache.context(tgt_sample), params)
+    src = cache.encoding(src_sample, params)
+    tgt = cache.encoding(tgt_sample, params)
     frame = encode_source_frame(src.ctx.normalize(src_sample.poses[pose_idx][1].vertices),
                                 src, params)
     truth = tgt.ctx.normalize(tgt_sample.poses[pose_idx][1].vertices) if paired else None
@@ -392,6 +422,18 @@ def sample_unpaired_batch(dataset: Dataset, rng: np.random.Generator):
     pose = int(rng.integers(len(src.poses)))
     tgt = dataset.static[int(rng.integers(len(dataset.static)))]
     return src, tgt, pose
+
+
+def _step_batches(dataset: Dataset, config: TrainConfig, step: int, mode: str) -> list:
+    """The ``(skin seed, source, target, pose)`` draws of one step's
+    ``accum_pairs`` samples; ``mode`` is "p" (paired) or "u" (unpaired)."""
+    sample = sample_paired_batch if mode == "p" else sample_unpaired_batch
+    batches = []
+    for sub in range(config.accum_pairs):
+        rng = _batch_rng(config.seed, step, sub)
+        skin_seed = int(rng.integers(2 ** 31))
+        batches.append((skin_seed, *sample(dataset, rng)))
+    return batches
 
 
 def _mode_pattern(dataset: Dataset, config: TrainConfig) -> str:
@@ -458,7 +500,7 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
         params = init_params(config.pipeline_config(), seed=config.seed)
         opt = Adam.from_config(params, config)
         start_step = 0
-    cache = _ContextCache()
+    cache = _CharacterCache()
     pattern = _mode_pattern(dataset, config)
     weights = config.loss_weights()
     metrics: list = []
@@ -469,12 +511,12 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
     for step in range(start_step, config.steps):
         opt.lr = config.lr_at(step)
         mode = pattern[step % len(pattern)]
+        batches = _step_batches(dataset, config, step, mode)
+        # each character's encoder is released after its last sub-step
+        last_use = {id(ch): (sub, ch) for sub, (_, src, tgt, _) in enumerate(batches)
+                    for ch in (src, tgt)}
         accum_reports = []
-        for sub in range(config.accum_pairs):
-            rng = _batch_rng(config.seed, step, sub)
-            skin_seed = int(rng.integers(2 ** 31))
-            sample = sample_paired_batch if mode == "p" else sample_unpaired_batch
-            src, tgt, pose_idx = sample(dataset, rng)
+        for sub, (skin_seed, src, tgt, pose_idx) in enumerate(batches):
             with _diverged_at(step):
                 components = batch_components(src, tgt, pose_idx, mode == "p", cache,
                                               params, config, skin_seed)
@@ -483,9 +525,11 @@ def fit(dataset: Dataset, config: TrainConfig, out_dir=None,
                 raise TrainingDiverged(f"training diverged at step {step}: "
                                        f"loss is {float(total.data)}")
             (total * (1.0 / config.accum_pairs)).backward()
-            report = _component_report(components)
-            report["total"] = float(total.data)
-            accum_reports.append(report)
+            accum_reports.append({**_component_report(components), "total": float(total.data)})
+            del components, total  # free the sample's tape before the encoder backwards
+            for last, ch in last_use.values():
+                if last == sub:
+                    cache.release(ch)
         _require_finite(step, "gradient", ((n, t.grad) for n, t in params.named_tensors()))
         opt.step()
         _require_finite(step, "parameter", ((n, t.data) for n, t in params.named_tensors()))

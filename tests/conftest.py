@@ -1,4 +1,11 @@
-import numpy as np
+import os
+
+# One BLAS thread: a second one only spins at these matrix sizes, and the
+# thread count must be set before NumPy loads BLAS.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from posetransfer.mesh import Mesh

@@ -186,15 +186,42 @@ def test_einsum_matches_numpy_and_rejects_unsupported_specs():
             ad.einsum(spec, _t(np.ones(x)), _t(np.ones(y)))
 
 
-def test_sparse_matmul_grad():
+def _composed_graph_conv(a, h, w_neigh, w_self, bias, alpha):
+    """The layer as six tape nodes: a sparse matmul, two matmuls, two adds
+    and the leak."""
+    ah = ad.Tensor(a @ h.data, requires_grad=h.requires_grad,
+                   _vjps=[(h, lambda g: a.T @ g)] if h.requires_grad else [])
+    return ad.leaky_relu(ah @ w_neigh + h @ w_self + bias, alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.5])
+@pytest.mark.parametrize("live", [(True, True, True, True), (False, True, True, True),
+                                  (True, False, False, False), (False, False, False, False)])
+def test_graph_conv_is_bitwise_the_composed_layer(alpha, live):
+    """Forward value and every live input's gradient equal the six-node
+    composition's; a frozen input gets no gradient, and with no live input
+    the layer records no tape."""
     import scipy.sparse as sp
 
-    rng = np.random.default_rng(7)
-    a = sp.random(5, 5, density=0.5, random_state=0, format="csr")
-    x = _t(rng.normal(size=(5, 2)))
-    def f(t):
-        y = ad.sparse_matmul(a, t)
-        return ad.mean(y * y)
-
-    report = ad.gradcheck(f, x)
-    assert report.passed
+    rng = np.random.default_rng(8)
+    a = sp.random(30, 30, density=0.2, random_state=1, format="csr") + sp.eye(30)
+    arrays = [rng.normal(size=shape) for shape in ((30, 5), (5, 4), (5, 4), (4,))]
+    for w in arrays[1:3]:
+        w[:, 0] = 0.0  # with a zero bias, a pre-activation column of zeros
+    arrays[3][0] = 0.0
+    g = rng.normal(size=(30, 4))
+    outs, grads = [], []
+    for layer in (ad.graph_conv, _composed_graph_conv):
+        inputs = [_t(x.copy(), grad=flag) for x, flag in zip(arrays, live)]
+        out = layer(a.tocsr(), *inputs, alpha=alpha)
+        if any(live):
+            ad.sum_(out * ad.constant(g)).backward()
+        outs.append(out)
+        grads.append([t.grad for t in inputs])
+    fused, composed = outs
+    assert np.array_equal(fused.data, composed.data)
+    assert fused.requires_grad == any(live) and bool(fused._vjps) == any(live)
+    for flag, gf, gc in zip(live, *grads):
+        assert (gf is None) == (not flag) and (gc is None) == (not flag)
+        if flag:
+            assert np.array_equal(gf, gc)

@@ -250,7 +250,7 @@ def test_gradcheck_pins_the_trans_truth(capsys):
     # seed 2's paired-wrt-skinning check fails unless the trans loss's
     # ground truth is held at the base point like the other stop-gradients
     assert main(["gradcheck", "--seed", "2"]) == EXIT_OK
-    assert "all 32 gradient checks passed" in capsys.readouterr().out
+    assert "all 35 gradient checks passed" in capsys.readouterr().out
 
 
 def test_skinning_export(workspace, tmp_path):

@@ -7,18 +7,28 @@ import numpy as np
 import pytest
 
 from posetransfer import autodiff as ad
+from posetransfer import train
 from posetransfer.gradsuite import PIPELINE_COORDS, PIPELINE_TOL, _pipeline_checks
-from posetransfer.networks import init_params, pose_transfer
+from posetransfer.losses import total_loss
+from posetransfer.networks import (
+    char_context,
+    encode_character,
+    encode_source_frame,
+    init_params,
+    pose_transfer,
+)
 from posetransfer.synth import CharacterSpec, DatasetConfig, generate_character, make_dataset
 from posetransfer.train import (
     Adam,
     CheckpointError,
     ConfigError,
     TrainConfig,
-    _ContextCache,
+    _CharacterCache,
     _probe_pmd,
+    _step_batches,
     fit,
     load_checkpoint,
+    loss_components,
     parse_config,
     sample_paired_batch,
     save_checkpoint,
@@ -155,12 +165,66 @@ def test_context_cache_never_returns_a_stale_entry():
     meshes = [generate_character(CharacterSpec(
         seed=s, limb_count=2, segments_per_limb=1, torso_segments=1,
         ring_verts=3, rings_per_segment=2)).rest for s in range(2)]
-    cache = _ContextCache()
+    cache = _CharacterCache()
     for i in range(20):
         sample = SimpleNamespace(rest=meshes[i % 2])
         assert cache.context(sample).mesh is sample.rest
         assert cache.context(sample) is cache.context(sample)
         del sample
+
+
+def test_fit_encodes_each_sampled_character_once_per_step(tiny_dataset, monkeypatch):
+    cfg = dataclasses.replace(TINY, steps=4, accum_pairs=4)
+    calls = []
+
+    def counting(ctx, params):
+        calls.append(ctx)
+        return encode_character(ctx, params)
+
+    monkeypatch.setattr(train, "encode_character", counting)
+    fit(tiny_dataset, cfg)
+    expected = [len({id(ch) for _, src, tgt, _ in _step_batches(tiny_dataset, cfg, step, mode)
+                     for ch in (src, tgt)})
+                for step, mode in enumerate("pupu")]
+    assert len(calls) == sum(expected) < 2 * cfg.accum_pairs * cfg.steps
+
+
+def _reencoded_gradient(dataset, config, params, step, mode) -> dict:
+    """The gradient of one ``fit`` step with both characters of every
+    sample encoded afresh for that sample."""
+    for skin_seed, src_s, tgt_s, pose in _step_batches(dataset, config, step, mode):
+        src = encode_character(char_context(src_s.rest), params)
+        tgt = encode_character(char_context(tgt_s.rest), params)
+        frame = encode_source_frame(src.ctx.normalize(src_s.poses[pose][1].vertices),
+                                    src, params)
+        truth = tgt.ctx.normalize(tgt_s.poses[pose][1].vertices) if mode == "p" else None
+        skinned = [(src, src_s.gt_skinning), (tgt, tgt_s.gt_skinning)]
+        components = loss_components(frame, tgt, truth, skinned, params, config, skin_seed)
+        (total_loss(components, config.loss_weights()) * (1.0 / config.accum_pairs)).backward()
+    return {name: t.grad for name, t in params.named_tensors()}
+
+
+@pytest.mark.parametrize("mode", ["p", "u"])
+def test_moments_are_the_per_sample_reencoded_gradients(tiny_dataset, mode):
+    """Sharing one encoding per character across a step's samples gives the
+    gradient of encoding afresh for every sample, up to summation order.
+
+    Step 0 starts from a zero decoder output layer, so no gradient reaches
+    the rest part latents ``z`` there; step 1 checks that path."""
+    cfg = dataclasses.replace(TINY, steps=2, accum_pairs=4, lr_schedule="constant",
+                              paired_ratio=int(mode == "p"), unpaired_ratio=int(mode == "u"))
+    first = fit(tiny_dataset, dataclasses.replace(cfg, steps=1))
+    second = fit(tiny_dataset, cfg)
+    start = init_params(cfg.pipeline_config(), seed=cfg.seed)
+    zeros = {name: 0.0 for name, _ in start.named_tensors()}
+    for step, params, before, after in ((0, start, zeros, first.optimizer.m),
+                                        (1, first.params, first.optimizer.m,
+                                         second.optimizer.m)):
+        grads = _reencoded_gradient(tiny_dataset, cfg, params, step, mode)
+        for name, g in grads.items():
+            expected = cfg.beta1 * before[name] + (1.0 - cfg.beta1) * g
+            assert np.abs(after[name] - expected).max() <= \
+                1e-12 * np.abs(expected).max(), (step, name)
 
 
 def test_probe_leaves_training_params_differentiable(tiny_dataset):
