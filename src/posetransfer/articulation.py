@@ -20,6 +20,8 @@ from .mesh import Mesh
 #: from fitting and losses.
 COVERAGE_EPS = 1e-8
 
+_EYE3 = np.eye(3)
+
 
 class ArticulationError(ValueError):
     """Dimension mismatch or invalid skinning data."""
@@ -54,9 +56,10 @@ class RigidTransform:
         t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64)).reshape(3)
         if r.shape != (3, 3):
             raise ArticulationError(f"rotation must be 3x3, got {r.shape}")
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-6:
+        if np.abs(r.T @ r - _EYE3).max() > 1e-6:
             raise ArticulationError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-6:
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-6:
             raise ArticulationError("rotation determinant is not +1")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
@@ -157,10 +160,13 @@ def _kabsch(rest_pts: np.ndarray, posed_pts: np.ndarray, weights: np.ndarray,
 
 
 def estimate_part_transforms(rest: Mesh, posed: Mesh, w: np.ndarray,
-                             centers: PartCenters | None = None) -> list[RigidTransform]:
+                             centers: PartCenters | None = None) -> np.ndarray:
     """Per-part weighted rigid registration between rest and posed vertices.
 
-    Degenerate parts get the rest-preserving transform (I, C_k).
+    Returns the (K, 12) rows of the K transforms, each the row-major
+    rotation then the translation (``RigidTransform.flat``); every
+    rotation is checked to be proper at once.  Degenerate parts get the
+    rest-preserving transform (I, C_k).
     """
     w = validate_skinning(w, rest.n_vertices)
     if posed.n_vertices != rest.n_vertices:
@@ -169,7 +175,17 @@ def estimate_part_transforms(rest: Mesh, posed: Mesh, w: np.ndarray,
         centers = part_centers(rest, w)
     r, t = _kabsch(rest.vertices, posed.vertices, w.T, centers.centers,
                    ~centers.degenerate)
-    return [RigidTransform(rotation=r_k, translation=t_k) for r_k, t_k in zip(r, t)]
+    if np.abs(np.swapaxes(r, 1, 2) @ r - _EYE3).max() > 1e-6:
+        raise ArticulationError("rotation is not orthonormal")
+    if np.abs(np.linalg.det(r) - 1.0).max() > 1e-6:
+        raise ArticulationError("rotation determinant is not +1")
+    return np.concatenate([r.reshape(-1, 9), t], axis=1)
+
+
+def rigid_transforms(rows: np.ndarray) -> list[RigidTransform]:
+    """One ``RigidTransform`` per 12-value row (row-major rotation, then
+    translation)."""
+    return [RigidTransform.from_flat(row) for row in rows]
 
 
 def hard_part_transforms(rest: Mesh, posed: Mesh, labels: np.ndarray,
@@ -220,4 +236,4 @@ def load_transforms(path) -> list[RigidTransform]:
     data = np.loadtxt(path, dtype=np.float64, ndmin=2)
     if data.shape[1] != 12:
         raise ArticulationError(f"{path}: expected 12 values per line")
-    return [RigidTransform.from_flat(row) for row in data]
+    return rigid_transforms(data)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class AutodiffError(ValueError):
@@ -147,6 +146,8 @@ def _make(data, pairs) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -191,10 +192,28 @@ def abs_(a) -> Tensor:
     return _make(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))])
 
 
+def _leak(x: np.ndarray, alpha: float, out=None) -> np.ndarray:
+    """``np.where(x > 0, x, alpha * x)`` bit for bit, without a masked
+    kernel: the larger of ``x`` and ``alpha x`` (the smaller when alpha > 1).
+    At alpha = 0 that would turn +inf into NaN (0 * inf), so ``x`` is
+    multiplied by its mask instead.  Without ``out`` the ``alpha x``
+    temporary becomes the result, so a call allocates one array."""
+    if alpha == 0.0:
+        return np.multiply(x, x > 0.0, out=out)
+    pick = np.minimum if alpha > 1.0 else np.maximum
+    leaked = x * alpha
+    return pick(x, leaked, out=leaked if out is None else out)
+
+
+def _slope(positive: np.ndarray, alpha: float) -> np.ndarray:
+    """The leak's derivative, 1 where ``positive`` and ``alpha`` elsewhere,
+    looked up from the bool mask."""
+    return np.array([alpha, 1.0]).take(positive.view(np.uint8))
+
+
 def leaky_relu(a, alpha: float = 0.2) -> Tensor:
     a = as_tensor(a)
-    return _make(np.where(a.data > 0.0, a.data, alpha * a.data),
-                 [(a, lambda g: g * np.where(a.data > 0.0, 1.0, alpha))])
+    return _make(_leak(a.data, alpha), [(a, lambda g: g * _slope(a.data > 0.0, alpha))])
 
 
 def log(a) -> Tensor:
@@ -252,29 +271,31 @@ def einsum(spec: str, a, b) -> Tensor:
                   (b, lambda g: np.einsum(f"{sa},{out}->{sb}", a.data, g))])
 
 
-def graph_conv(a: sp.spmatrix, h, w_neigh, w_self, bias, alpha: float) -> Tensor:
+def graph_conv(graph, h, w_neigh, w_self, bias, alpha: float) -> Tensor:
     """One graph convolution layer, ``leaky_relu(A h W_neigh + h W_self + b)``
     with ``A`` a fixed sparse operator, as one tape node.
 
-    The float ops and their order are those of the composition of
+    ``graph`` holds ``A`` as ``graph.matrix``; only the backward reads
+    ``graph.transpose`` (``A^T``), so inference never builds it.  The
+    float ops and their order are those of the composition of
     ``leaky_relu``, ``matmul`` and ``add``, so values and gradients are
     bitwise the same; the node keeps only ``A h`` (when ``w_neigh`` is
     live) and the leak mask, where the composition kept six nodes of
     ``(N, d)`` arrays.  With no live input it records nothing.
     """
     h, w_neigh, w_self, bias = inputs = [as_tensor(t) for t in (h, w_neigh, w_self, bias)]
-    ah = a @ h.data
+    ah = graph.matrix @ h.data
     out = ah @ w_neigh.data
     if not _live(w_neigh):
         ah = None
     out += h.data @ w_self.data
     out += bias.data
-    leak = ~(out > 0.0)
-    np.multiply(out, alpha, out=out, where=leak)
     live = [i for i, t in enumerate(inputs) if _live(t)]
+    positive = out > 0.0 if live else None
+    _leak(out, alpha, out=out)
     if not live:
         return Tensor(out)
-    rules = (lambda g: a.T @ (g @ w_neigh.data.T) + g @ w_self.data.T,
+    rules = (lambda g: graph.transpose @ (g @ w_neigh.data.T) + g @ w_self.data.T,
              lambda g: ah.T @ g,
              lambda g: h.data.T @ g,
              lambda g: _unbroadcast(g, bias.shape))
@@ -283,10 +304,9 @@ def graph_conv(a: sp.spmatrix, h, w_neigh, w_self, bias, alpha: float) -> Tensor
     def vjp(i):
         def fn(g):
             # backward() calls each live input's fn once, in turn, with one
-            # ``g``: the first call forms every gradient from a leaked copy
+            # ``g``: the first call forms every gradient from the leaked adjoint
             if not pending:
-                g = g.copy()
-                np.multiply(g, alpha, out=g, where=leak)
+                g = g * _slope(positive, alpha)
                 pending.update({j: rules[j](g) for j in live})
             return pending.pop(i)
         return fn

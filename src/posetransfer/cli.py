@@ -15,17 +15,10 @@ import numpy as np
 
 from .articulation import ArticulationError, save_skinning, save_transforms
 from .autodiff import AutodiffError
-from .evaluation import consistency_scores, pmd, save_part_colored_obj, write_report
+from .evaluation import consistency_scores, cross_pmd, save_part_colored_obj, write_report
 from .gradsuite import run_gradient_suite
 from .mesh import MeshError, load_obj, save_obj
-from .networks import (
-    char_context,
-    encode_character,
-    encode_source_frame,
-    pose_transfer,
-    predict_skinning,
-    transfer_pose_graph,
-)
+from .networks import char_context, encode_character, pose_transfer, predict_skinning
 from .synth import DatasetConfig, SynthError, load_dataset, make_dataset, save_dataset
 from .train import (
     CheckpointError,
@@ -171,29 +164,14 @@ def cmd_transfer(args) -> int:
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.ckpt)[0].frozen()
     dataset = load_dataset(args.data)
-    # each character is encoded once and each posed source frame once;
-    # every (source, target, pose) triple decodes one frame onto one encoding
+    # each character is encoded once, each posed source frame once, and
+    # each source's frames are decoded onto all its targets in one pass
     splits = [(split, chars, [encode_character(char_context(ch.rest), params)
                               for ch in chars])
               for split, chars in (("held", dataset.held), ("paired", dataset.paired))
               if len(chars) >= 2]
-
-    rows = []
-    for split, chars, encs in splits:
-        if not chars[0].poses:
-            continue
-        frames = [[encode_source_frame(enc.ctx.normalize(posed.vertices), enc, params)
-                   for _, posed in ch.poses] for ch, enc in zip(chars, encs)]
-        values = []
-        for si, src_frames in enumerate(frames):
-            for ti, tgt in enumerate(chars):
-                if si == ti:
-                    continue
-                for p, frame in enumerate(src_frames):
-                    graph = transfer_pose_graph(frame, encs[ti], params)
-                    values.append(pmd(encs[ti].ctx.denormalize(graph.deformed.data),
-                                      tgt.poses[p][1].vertices))
-        rows.append(("pmd", split, float(np.mean(values))))
+    rows = [("pmd", split, float(np.mean(list(cross_pmd(chars, encs, params)))))
+            for split, chars, encs in splits if chars[0].poses]
 
     if splits:  # consistency on the held-out split when it has two characters
         split, chars, encs = splits[0]

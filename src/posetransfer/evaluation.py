@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, mesh_height
+from .networks import encode_source_frame, transfer_pose_graphs
 
 
 def pmd(pred, gt) -> float:
@@ -26,6 +27,26 @@ def pmd(pred, gt) -> float:
     a = pred / mesh_height(pred)
     b = gt / mesh_height(gt)
     return float(np.linalg.norm(a - b, axis=1).mean() * 100.0)
+
+
+def cross_pmd(chars: list, encodings: list, params):
+    """Yield the PMD of every ordered (source, target, pose) triple of
+    ``chars`` with source != target, in that order: the source's pose p
+    transferred onto the target's rest, against the target's own pose p.
+
+    ``encodings[i]`` is ``chars[i]``'s ``CharEncoding`` under ``params``.
+    Each posed source is encoded once, and all of one source's frames are
+    decoded onto all its targets in one pass.
+    """
+    for si, (src, enc) in enumerate(zip(chars, encodings)):
+        others = [ti for ti in range(len(chars)) if ti != si]
+        frames = [encode_source_frame(enc.ctx.normalize(posed.vertices), enc, params)
+                  for _, posed in src.poses]
+        graphs = transfer_pose_graphs(frames, [encodings[ti] for ti in others], params)
+        for t, ti in enumerate(others):
+            for p, row in enumerate(graphs):
+                yield pmd(encodings[ti].ctx.denormalize(row[t].deformed.data),
+                          chars[ti].poses[p][1].vertices)
 
 
 @dataclass(frozen=True)

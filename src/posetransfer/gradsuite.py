@@ -91,7 +91,7 @@ def _op_checks(seed: int):
     for i, name in enumerate(("h", "w-neigh", "w-self", "bias")):
         def conv_objective(t, i=i):
             args = [t if j == i else ad.constant(a) for j, a in enumerate(conv)]
-            return ad.mean(ad.graph_conv(graph.matrix, *args, alpha=0.2)
+            return ad.mean(ad.graph_conv(graph, *args, alpha=0.2)
                            * ad.constant(conv_coeff))
         checks.append((f"graph-conv/{name}", ad.Tensor(conv[i].copy(), requires_grad=True),
                        conv_objective))

@@ -8,6 +8,7 @@ Meshes may be non-manifold and multi-component; no repair is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +76,12 @@ class GraphOperator:
 
     matrix: sp.csr_matrix
     edges: np.ndarray  # (E, 2) with edges[:, 0] < edges[:, 1]
+
+    @cached_property
+    def transpose(self) -> sp.csr_matrix:
+        """``matrix``'s transpose as CSR, built on first use: only backward
+        passes read it."""
+        return self.matrix.T.tocsr()
 
 
 def load_obj(path) -> Mesh:
@@ -238,15 +245,21 @@ def edge_set(mesh: Mesh) -> np.ndarray:
 
 
 def graph_operator(mesh: Mesh) -> GraphOperator:
-    """A = D^-1 (Adj + I): row-normalized one-ring averaging with self-loop."""
+    """A = D^-1 (Adj + I): row-normalized one-ring averaging with self-loop.
+
+    Built as CSR straight from the edge list.  Each row lists its columns
+    in descending order, the order the sparse product ``D^-1 @ (Adj + I)``
+    left them in, so every ``A h`` sums its terms in that order.
+    """
     n = mesh.n_vertices
     edges = edge_set(mesh)
     i = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
     j = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    adj = sp.csr_matrix((np.ones_like(i, dtype=np.float64), (i, j)), shape=(n, n))
-    degree = np.asarray(adj.sum(axis=1)).ravel()
-    inv = sp.diags(1.0 / degree)
-    return GraphOperator(matrix=(inv @ adj).tocsr(), edges=edges)
+    order = np.lexsort((-j, i))
+    degree = np.bincount(i, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    matrix = sp.csr_matrix(((1.0 / degree)[i[order]], j[order], indptr), shape=(n, n))
+    return GraphOperator(matrix=matrix, edges=edges)
 
 
 def mesh_height(vertices: np.ndarray) -> float:

@@ -19,8 +19,12 @@ A transfer runs in three stages, each reusable by the next:
 2. source frame (``encode_source_frame``): the pose delta and the
    analytic source transforms of one posed source, shared by every
    target;
-3. per-target step (``transfer_pose_graph``): decoder and LBS of one
-   frame onto one target.
+3. decode (``transfer_pose_graphs``): one decoder pass over several
+   frames against several targets, then LBS of each frame onto each
+   target.  The decoder's first layer acts on [target latent, pose
+   delta, source transform], so it splits into a product per target and
+   a product per frame, and each (frame, target) pair pays only their
+   sum.  ``transfer_pose_graph`` is the one-frame, one-target case.
 
 The decoder output parameterizes rotations with the continuous 6D
 representation and is composed onto the analytic source transform, so a
@@ -41,6 +45,7 @@ from .articulation import (
     COVERAGE_EPS,
     RigidTransform,
     estimate_part_transforms,
+    rigid_transforms,
 )
 from .mesh import (
     GraphOperator,
@@ -164,7 +169,7 @@ def _conv_stack(x, graph: GraphOperator, params: PoseTransferParams, prefix: str
     h = ad.as_tensor(x)
     for i in range(depth):
         layer = f"{prefix}.conv{i}."
-        h = ad.graph_conv(graph.matrix, h, params[layer + "w_neigh"],
+        h = ad.graph_conv(graph, h, params[layer + "w_neigh"],
                           params[layer + "w_self"], params[layer + "bias"],
                           alpha=params.config.leak)
     return h
@@ -207,27 +212,41 @@ def rotations_from_6d(raw: ad.Tensor) -> ad.Tensor:
     return ad.concat([col.reshape(k, 3, 1) for col in (b1, b2, b3)], axis=2)
 
 
-def decode_transforms(z_target, z_pose_delta, t_src: np.ndarray,
+def decode_transforms(z_targets: list, z_deltas: list, t_src: np.ndarray,
                       params: PoseTransferParams) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
-    """Predict target part transforms as residuals on the source transforms
-    ``t_src``, their (K, 12) row-major flattening.
+    """Predict target part transforms as residuals on the source transforms,
+    for F frames against T targets in one pass.
 
-    Returns (rotations, translations, flat): the (K, 3, 3) rotations, the
-    (K, 3) translations, and the (K, 12) row-major flattening of both
-    that the transformation-regression loss uses.
+    ``z_targets`` holds the T targets' (K, C) part latents, ``z_deltas``
+    the F frames' (K, C) pose deltas and ``t_src`` (F, K, 12) their
+    source transforms, row-major flattened.  The first layer is computed
+    by input block: ``z_target @ W0[:C]`` once per target, ``z_delta @
+    W0[C:2C] + t_src @ W0[2C:]`` once per frame, and their sum per pair.
+
+    Returns (rotations, translations, flat) with one row per (frame,
+    target, part), in that order: the (FTK, 3, 3) rotations, the (FTK, 3)
+    translations, and the (FTK, 12) row-major flattening of both that the
+    transformation-regression loss uses.
     """
-    k = t_src.shape[0]
-    h = ad.concat([ad.as_tensor(z_target), ad.as_tensor(z_pose_delta),
-                   ad.constant(t_src)], axis=1)
+    n_frames, k = t_src.shape[:2]
+    n_targets, c = len(z_targets), params.config.latent
+    w0 = params["dec.fc0.w"]
+    per_target = ad.concat(z_targets, axis=0) @ w0[:c]
+    per_frame = (ad.concat(z_deltas, axis=0) @ w0[c:2 * c]
+                 + ad.constant(t_src.reshape(-1, 12)) @ w0[2 * c:] + params["dec.fc0.b"])
+    width = per_frame.shape[1]
+    h = (per_frame.reshape(n_frames, 1, k, width)
+         + per_target.reshape(1, n_targets, k, width)).reshape(-1, width)
     n_layers = len(params.config.dec_hidden) + 1
-    for i in range(n_layers):
+    for i in range(1, n_layers):
+        h = ad.leaky_relu(h, alpha=params.config.leak)
         h = h @ params[f"dec.fc{i}.w"] + params[f"dec.fc{i}.b"]
-        if i < n_layers - 1:
-            h = ad.leaky_relu(h, alpha=params.config.leak)
+    rows = np.broadcast_to(t_src[:, None], (n_frames, n_targets, k, 12)).reshape(-1, 12)
+    n = rows.shape[0]
     rotations = ad.einsum("kij,kjl->kil", rotations_from_6d(h[:, 0:6]),
-                          ad.constant(t_src[:, :9].reshape(k, 3, 3)))
-    translations = h[:, 6:9] + ad.constant(t_src[:, 9:])
-    flat = ad.concat([rotations.reshape(k, 9), translations], axis=1)
+                          ad.constant(rows[:, :9].reshape(n, 3, 3)))
+    translations = h[:, 6:9] + ad.constant(rows[:, 9:])
+    flat = ad.concat([rotations.reshape(n, 9), translations], axis=1)
     return rotations, translations, flat
 
 
@@ -305,10 +324,10 @@ def encode_character(ctx: CharContext, params: PoseTransferParams) -> CharEncodi
     return CharEncoding(ctx=ctx, w=w, z=attend(w, y, params))
 
 
-def source_transforms(source: CharEncoding, posed_vertices) -> list[RigidTransform]:
-    """Analytic part transforms of the posed source (normalized frame):
-    weighted Kabsch from rest to ``posed_vertices`` under the source's
-    renormalized skinning."""
+def source_transforms(source: CharEncoding, posed_vertices) -> np.ndarray:
+    """Analytic part transforms of the posed source (normalized frame), as
+    (K, 12) rows: weighted Kabsch from rest to ``posed_vertices`` under the
+    source's renormalized skinning."""
     ctx = source.ctx
     return estimate_part_transforms(ctx.mesh.with_vertices(ctx.norm_vertices),
                                     ctx.mesh.with_vertices(posed_vertices),
@@ -326,27 +345,27 @@ class SourceFrame:
     source: CharEncoding
     posed: ad.Tensor  # (N_s, 3)
     z_delta: ad.Tensor  # (K, C) posed minus rest part latents
-    t_source: list[RigidTransform]
-    t_stack: np.ndarray  # (K, 12) row-major flattening of ``t_source``
+    t_stack: np.ndarray  # (K, 12) source transforms, row-major rotation then translation
 
 
 def encode_source_frame(posed_vertices, source: CharEncoding, params: PoseTransferParams,
-                        t_source: list[RigidTransform] | None = None) -> SourceFrame:
+                        t_stack: np.ndarray | None = None) -> SourceFrame:
     """Encode one posed source against its rest encoding.
 
     ``posed_vertices`` must already be in the source rest frame; it may
     be a plain array or a live tensor (the cycle pass feeds the predicted
     target back in).  The analytic source transforms enter as constants;
-    pass ``t_source`` to pin them (gradient checking does).
+    pass their (K, 12) rows as ``t_stack`` to pin them (gradient checking
+    does).
     """
     posed = ad.as_tensor(posed_vertices)
     ctx = source.ctx
     y_posed = encode(vertex_features(ctx.mesh.faces, posed), ctx.graph, params)
     z_posed = attend(source.w, y_posed, params)
-    if t_source is None:
-        t_source = source_transforms(source, posed.data)
+    if t_stack is None:
+        t_stack = source_transforms(source, posed.data)
     return SourceFrame(source=source, posed=posed, z_delta=z_posed - source.z,
-                       t_source=t_source, t_stack=np.stack([tf.flat() for tf in t_source]))
+                       t_stack=t_stack)
 
 
 @dataclass
@@ -361,17 +380,30 @@ class TransferGraph:
     t_flat: ad.Tensor  # (K, 12)
 
 
+def transfer_pose_graphs(frames: list[SourceFrame], targets: list[CharEncoding],
+                         params: PoseTransferParams) -> list[list[TransferGraph]]:
+    """Decode every frame onto every target in one decoder pass, then LBS
+    each about its target's part centers; ``[f][t]`` is frame f's transfer
+    onto target t."""
+    rotations, translations, t_flat = decode_transforms(
+        [t.z for t in targets], [f.z_delta for f in frames],
+        np.stack([f.t_stack for f in frames]), params)
+    k = frames[0].t_stack.shape[0]
+    graphs = []
+    for p, (frame, target) in enumerate((f, t) for f in frames for t in targets):
+        part = slice(p * k, (p + 1) * k)
+        rot, trans, flat = rotations[part], translations[part], t_flat[part]
+        graphs.append(TransferGraph(
+            deformed=lbs_tensor(target.ctx.norm_vertices, target.w, rot, trans, target.centers),
+            frame=frame, target=target, rotations=rot, translations=trans, t_flat=flat))
+    return [graphs[i:i + len(targets)] for i in range(0, len(graphs), len(targets))]
+
+
 def transfer_pose_graph(frame: SourceFrame, target: CharEncoding,
                         params: PoseTransferParams) -> TransferGraph:
     """Build the differentiable graph of one frame's transfer onto ``target``:
     decoder and LBS about the target's part centers."""
-    rotations, translations, t_flat = decode_transforms(
-        target.z, frame.z_delta, frame.t_stack, params)
-    deformed = lbs_tensor(target.ctx.norm_vertices, target.w, rotations,
-                          translations, target.centers)
-    return TransferGraph(deformed=deformed, frame=frame, target=target,
-                         rotations=rotations, translations=translations,
-                         t_flat=t_flat)
+    return transfer_pose_graphs([frame], [target], params)[0][0]
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:
@@ -401,12 +433,10 @@ def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
     tgt = encode_character(char_context(target_rest), params)
     frame = encode_source_frame(src.ctx.normalize(source_posed.vertices), src, params)
     graph = transfer_pose_graph(frame, tgt, params)
-    transforms = [RigidTransform(rotation=r, translation=t)
-                  for r, t in zip(graph.rotations.data, graph.translations.data)]
     return TransferResult(
         mesh=target_rest.with_vertices(tgt.ctx.denormalize(graph.deformed.data)),
         w_source=_renormalized(src.w.data),
         w_target=_renormalized(tgt.w.data),
-        transforms=transforms,
-        t_source=frame.t_source,
+        transforms=rigid_transforms(graph.t_flat.data),
+        t_source=rigid_transforms(frame.t_stack),
     )

@@ -14,14 +14,16 @@ from posetransfer.articulation import (
     estimate_part_transforms,
     lbs_deform,
     part_centers,
+    rigid_transforms,
     validate_skinning,
 )
-from posetransfer.evaluation import consistency_scores, pmd
+from posetransfer.evaluation import consistency_scores, cross_pmd
 from posetransfer.gradsuite import run_gradient_suite
 from posetransfer.mesh import Mesh
 from posetransfer.networks import (
     PipelineConfig,
     char_context,
+    encode_character,
     init_params,
     pose_transfer,
     predict_skinning,
@@ -43,15 +45,9 @@ def _status(criterion: str, ok: bool, detail: str) -> None:
 
 def _cross_pmd(chars, params) -> float:
     """Mean PMD over all ordered cross-character pairs and shared poses."""
-    values = []
-    for si, src in enumerate(chars):
-        for ti, tgt in enumerate(chars):
-            if si == ti:
-                continue
-            for p, (_, posed) in enumerate(src.poses):
-                result = pose_transfer(posed, src.rest, tgt.rest, params)
-                values.append(pmd(result.mesh, tgt.poses[p][1]))
-    return float(np.mean(values))
+    params = params.frozen()
+    encodings = [encode_character(char_context(ch.rest), params) for ch in chars]
+    return float(np.mean(list(cross_pmd(chars, encodings, params))))
 
 
 def _zero_decoder_params(config: TrainConfig):
@@ -108,7 +104,7 @@ def test_articulation_oracles():
     r_star = random_rotation(rng)
     t_star = rng.normal(size=3)
     posed = mesh.with_vertices(v @ r_star.T + t_star)
-    recovered = estimate_part_transforms(mesh, posed, w)
+    recovered = rigid_transforms(estimate_part_transforms(mesh, posed, w))
     err_rot = max(np.abs(tf.rotation - r_star).max() for tf in recovered)
     err_round = np.abs(lbs_deform(mesh, w, recovered).vertices - posed.vertices).max()
 
@@ -118,7 +114,7 @@ def test_articulation_oracles():
     motions = [RigidTransform(rotation=random_rotation(rng),
                               translation=rng.normal(size=3)) for _ in range(3)]
     deformed = lbs_deform(mesh, hot, motions)
-    again = lbs_deform(mesh, hot, estimate_part_transforms(mesh, deformed, hot))
+    again = lbs_deform(mesh, hot, rigid_transforms(estimate_part_transforms(mesh, deformed, hot)))
     err_hot = np.abs(again.vertices - deformed.vertices).max()
 
     ok = err_identity <= 1e-6 and err_rot < 1e-6 and err_round < 1e-6 and err_hot <= 1e-5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posetransfer import articulation
 from posetransfer.articulation import (
     ArticulationError,
     RigidTransform,
@@ -11,6 +12,7 @@ from posetransfer.articulation import (
     load_skinning,
     load_transforms,
     part_centers,
+    rigid_transforms,
     save_skinning,
     save_transforms,
     validate_skinning,
@@ -42,11 +44,41 @@ def test_validate_skinning_rejects_bad_rows():
 
 
 def test_rigid_transform_validation():
-    with pytest.raises(ArticulationError):
+    with pytest.raises(ArticulationError, match="not orthonormal"):
         RigidTransform(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
     reflection = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ArticulationError):
+    with pytest.raises(ArticulationError, match="determinant is not"):
         RigidTransform(rotation=reflection, translation=np.zeros(3))
+    rng = np.random.default_rng(3)
+    for _ in range(20):  # the closed-form determinant agrees with LAPACK's
+        r = random_rotation(rng)
+        assert RigidTransform(rotation=r, translation=np.zeros(3)).rotation.tobytes() == \
+            np.ascontiguousarray(r).tobytes()
+        with pytest.raises(ArticulationError, match="determinant is not"):
+            RigidTransform(rotation=r @ reflection, translation=np.zeros(3))
+
+
+def test_estimated_rows_are_checked_at_once(monkeypatch):
+    """``estimate_part_transforms`` returns one flat row per part, the same
+    numbers a ``RigidTransform`` of each part would hold, and rejects an
+    improper rotation among them with the ``RigidTransform`` errors."""
+    rng = np.random.default_rng(17)
+    mesh = _cloud_mesh(rng)
+    w = _random_skinning(rng, mesh.n_vertices, 4)
+    posed = mesh.with_vertices(mesh.vertices @ random_rotation(rng).T)
+    rows = estimate_part_transforms(mesh, posed, w)
+    assert rows.shape == (4, 12)
+    assert np.array_equal(np.stack([tf.flat() for tf in rigid_transforms(rows)]), rows)
+    kabsch = articulation._kabsch
+    for scale, message in ((np.diag([1.0, 1.0, -1.0]), "determinant is not"),
+                           (np.eye(3) * 1.1, "not orthonormal")):
+        def broken(*args, scale=scale):
+            r, t = kabsch(*args)
+            r[2] = r[2] @ scale
+            return r, t
+        monkeypatch.setattr(articulation, "_kabsch", broken)
+        with pytest.raises(ArticulationError, match=message):
+            estimate_part_transforms(mesh, posed, w)
 
 
 def test_rigid_transform_flat_round_trip():
@@ -177,7 +209,7 @@ def test_estimate_identity_when_posed_equals_rest():
     mesh = _cloud_mesh(rng)
     w = _random_skinning(rng, mesh.n_vertices, 4)
     pc = part_centers(mesh, w)
-    for k, tf in enumerate(estimate_part_transforms(mesh, mesh, w)):
+    for k, tf in enumerate(rigid_transforms(estimate_part_transforms(mesh, mesh, w))):
         assert np.abs(tf.rotation - np.eye(3)).max() < 1e-6
         assert np.abs(tf.translation - pc.centers[k]).max() < 1e-6
 
@@ -189,7 +221,7 @@ def test_estimate_recovers_global_rigid_motion():
     r_star = random_rotation(rng)
     t_star = rng.normal(size=3)
     posed = mesh.with_vertices(mesh.vertices @ r_star.T + t_star)
-    transforms = estimate_part_transforms(mesh, posed, w)
+    transforms = rigid_transforms(estimate_part_transforms(mesh, posed, w))
     for tf in transforms:
         assert np.abs(tf.rotation - r_star).max() < 1e-6
     back = lbs_deform(mesh, w, transforms)
@@ -205,7 +237,7 @@ def test_estimate_one_hot_90_degree_rotation():
     w = np.zeros((5, 2))
     w[:4, 0] = 1.0
     w[4, 1] = 1.0
-    tf = estimate_part_transforms(mesh, posed, w)[0]
+    tf = rigid_transforms(estimate_part_transforms(mesh, posed, w))[0]
     assert np.abs(tf.rotation - r90).max() < 1e-6
 
 
@@ -214,7 +246,7 @@ def test_estimate_degenerate_part_gets_rest_preserving_transform():
     mesh = _cloud_mesh(rng)
     w = np.zeros((mesh.n_vertices, 2))
     w[:, 0] = 1.0
-    tf = estimate_part_transforms(mesh, mesh, w)[1]
+    tf = rigid_transforms(estimate_part_transforms(mesh, mesh, w))[1]
     assert np.abs(tf.rotation - np.eye(3)).max() == 0.0
     assert np.abs(tf.translation).max() == 0.0
 
@@ -229,7 +261,7 @@ def test_one_hot_round_trip_deform_estimate_deform():
     transforms = [RigidTransform(rotation=random_rotation(rng),
                                  translation=rng.normal(size=3)) for _ in range(3)]
     deformed = lbs_deform(mesh, w, transforms)
-    recovered = estimate_part_transforms(mesh, deformed, w)
+    recovered = rigid_transforms(estimate_part_transforms(mesh, deformed, w))
     again = lbs_deform(mesh, w, recovered)
     assert np.abs(again.vertices - deformed.vertices).max() < 1e-5
 
@@ -292,7 +324,7 @@ def _assert_matches_oracle(tf, r, t):
 def test_estimate_matches_scalar_kabsch_oracle():
     mesh, posed, w, _ = _oracle_case(np.random.default_rng(15))
     pc = part_centers(mesh, w)
-    out = estimate_part_transforms(mesh, posed, w)
+    out = rigid_transforms(estimate_part_transforms(mesh, posed, w))
     assert pc.degenerate.tolist() == [False, False, True, False, False]
     _assert_matches_oracle(out[2], np.eye(3), pc.centers[2])
     for k in (0, 1, 3, 4):

@@ -30,20 +30,32 @@ def test_forward_deterministic():
     assert (a.data == b.data).all()
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.5])
+def _where_leak(x, alpha):
+    """The reference leak and its slope, as ``np.where`` formulations."""
+    return np.where(x > 0.0, x, alpha * x), np.where(x > 0.0, 1.0, alpha)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.0, 1.5])
 def test_leaky_relu_is_bitwise_the_slope_array_formulation(alpha):
-    """Forward value and gradient equal the formulation that built the
-    slope array eagerly in the forward pass."""
+    """Forward value and gradient equal the ``np.where`` reference bit for
+    bit, signed zeros, infinities and NaNs included."""
     rng = np.random.default_rng(2)
     x = rng.normal(size=(40, 7))
-    x[0, :3] = [0.0, -0.0, 1e-300]
+    x[0, :7] = [0.0, -0.0, 1e-300, np.inf, -np.inf, np.nan, -np.nan]
+    x[1, :2] = [1e308, -1e308]
     g = rng.normal(size=x.shape)
-    slope = np.where(x > 0.0, 1.0, alpha)
+    g[2, :3] = [-0.0, np.inf, np.nan]
     t = _t(x)
-    out = ad.leaky_relu(t, alpha=alpha)
-    ad.sum_(out * ad.constant(g)).backward()
-    assert np.array_equal(out.data, np.where(x > 0.0, x, alpha * x))
-    assert np.array_equal(t.grad, g * slope)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = ad.leaky_relu(t, alpha=alpha)
+        ad.sum_(out * ad.constant(g)).backward()
+        value, slope = _where_leak(x, alpha)
+        assert _same_bits(out.data, value)
+        assert _same_bits(t.grad, g * slope)
 
 
 # ---- backward contracts ------------------------------------------------
@@ -186,42 +198,51 @@ def test_einsum_matches_numpy_and_rejects_unsupported_specs():
             ad.einsum(spec, _t(np.ones(x)), _t(np.ones(y)))
 
 
-def _composed_graph_conv(a, h, w_neigh, w_self, bias, alpha):
+def _composed_graph_conv(graph, h, w_neigh, w_self, bias, alpha):
     """The layer as six tape nodes: a sparse matmul, two matmuls, two adds
-    and the leak."""
+    and the ``np.where`` reference leak."""
+    a = graph.matrix
     ah = ad.Tensor(a @ h.data, requires_grad=h.requires_grad,
                    _vjps=[(h, lambda g: a.T @ g)] if h.requires_grad else [])
-    return ad.leaky_relu(ah @ w_neigh + h @ w_self + bias, alpha=alpha)
+    pre = ah @ w_neigh + h @ w_self + bias
+    value, slope = _where_leak(pre.data, alpha)
+    return ad._make(value, [(pre, lambda g: g * slope)])
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.2, 0.0, 1.0, 1.5])
 @pytest.mark.parametrize("live", [(True, True, True, True), (False, True, True, True),
                                   (True, False, False, False), (False, False, False, False)])
 def test_graph_conv_is_bitwise_the_composed_layer(alpha, live):
     """Forward value and every live input's gradient equal the six-node
-    composition's; a frozen input gets no gradient, and with no live input
-    the layer records no tape."""
+    composition's with the ``np.where`` leak, zero, infinite and NaN
+    pre-activations included; a frozen input gets no gradient, and with no
+    live input the layer records no tape."""
     import scipy.sparse as sp
+
+    from posetransfer.mesh import GraphOperator
 
     rng = np.random.default_rng(8)
     a = sp.random(30, 30, density=0.2, random_state=1, format="csr") + sp.eye(30)
-    arrays = [rng.normal(size=shape) for shape in ((30, 5), (5, 4), (5, 4), (4,))]
+    graph = GraphOperator(matrix=a.tocsr(), edges=np.zeros((0, 2), dtype=np.int64))
+    arrays = [rng.normal(size=shape) for shape in ((30, 5), (5, 6), (5, 6), (6,))]
     for w in arrays[1:3]:
         w[:, 0] = 0.0  # with a zero bias, a pre-activation column of zeros
-    arrays[3][0] = 0.0
-    g = rng.normal(size=(30, 4))
+    arrays[3][:4] = [0.0, np.inf, -np.inf, np.nan]
+    g = rng.normal(size=(30, 6))
     outs, grads = [], []
-    for layer in (ad.graph_conv, _composed_graph_conv):
-        inputs = [_t(x.copy(), grad=flag) for x, flag in zip(arrays, live)]
-        out = layer(a.tocsr(), *inputs, alpha=alpha)
-        if any(live):
-            ad.sum_(out * ad.constant(g)).backward()
-        outs.append(out)
-        grads.append([t.grad for t in inputs])
+    with np.errstate(invalid="ignore"):
+        for layer in (ad.graph_conv, _composed_graph_conv):
+            inputs = [_t(x.copy(), grad=flag) for x, flag in zip(arrays, live)]
+            out = layer(graph, *inputs, alpha=alpha)
+            if any(live):
+                ad.sum_(out * ad.constant(g)).backward()
+            outs.append(out)
+            grads.append([t.grad for t in inputs])
     fused, composed = outs
-    assert np.array_equal(fused.data, composed.data)
+    assert _same_bits(fused.data, composed.data)
     assert fused.requires_grad == any(live) and bool(fused._vjps) == any(live)
     for flag, gf, gc in zip(live, *grads):
         assert (gf is None) == (not flag) and (gc is None) == (not flag)
         if flag:
-            assert np.array_equal(gf, gc)
+            assert _same_bits(gf, gc)
+    assert ("transpose" in vars(graph)) == live[0]  # only a live h reads A^T

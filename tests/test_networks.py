@@ -20,6 +20,7 @@ from posetransfer.networks import (
     predict_skinning,
     rotations_from_6d,
     transfer_pose_graph,
+    transfer_pose_graphs,
 )
 from posetransfer.synth import CharacterSpec, generate_character, pose_character, sample_pose
 
@@ -126,20 +127,25 @@ def test_rotations_from_6d_always_valid():
 
 
 def test_decoder_zero_output_reproduces_source_transforms(tiny_params):
+    """At a zero output layer every (frame, target) row of one decoder pass
+    is its frame's source transform, whatever the latents."""
     rng = np.random.default_rng(5)
     k = tiny_params.config.k_parts
     c = tiny_params.config.latent
-    t_source = [RigidTransform(rotation=random_rotation(rng),
-                               translation=rng.normal(size=3)) for _ in range(k)]
+    t_source = [[RigidTransform(rotation=random_rotation(rng),
+                                translation=rng.normal(size=3)) for _ in range(k)]
+                for _ in range(2)]
     w, b = tiny_params["dec.fc1.w"], tiny_params["dec.fc1.b"]
     w.data[:] = 0.0
     b.data[:] = 0.0
     rots, trans, flat = decode_transforms(
-        ad.constant(rng.normal(size=(k, c))), ad.constant(rng.normal(size=(k, c))),
-        np.stack([tf.flat() for tf in t_source]), tiny_params)
-    assert np.abs(rots.data - [tf.rotation for tf in t_source]).max() < 1e-12
-    assert np.abs(trans.data - [tf.translation for tf in t_source]).max() < 1e-12
-    assert np.abs(flat.data - [tf.flat() for tf in t_source]).max() < 1e-12
+        [ad.constant(rng.normal(size=(k, c))) for _ in range(3)],
+        [ad.constant(rng.normal(size=(k, c))) for _ in range(2)],
+        np.array([[tf.flat() for tf in frame] for frame in t_source]), tiny_params)
+    expected = [tf for frame in t_source for _ in range(3) for tf in frame]
+    assert np.abs(rots.data - [tf.rotation for tf in expected]).max() < 1e-12
+    assert np.abs(trans.data - [tf.translation for tf in expected]).max() < 1e-12
+    assert np.abs(flat.data - [tf.flat() for tf in expected]).max() < 1e-12
 
 
 def test_decoded_rotations_valid_for_random_params(tiny_params):
@@ -148,11 +154,29 @@ def test_decoded_rotations_valid_for_random_params(tiny_params):
     c = tiny_params.config.latent
     t_src = np.stack([RigidTransform.identity(rng.normal(size=3)).flat() for _ in range(k)])
     rots, _, _ = decode_transforms(
-        ad.constant(rng.normal(size=(k, c))), ad.constant(rng.normal(size=(k, c))),
-        t_src, tiny_params)
+        [ad.constant(rng.normal(size=(k, c)))], [ad.constant(rng.normal(size=(k, c)))],
+        t_src[None], tiny_params)
     m = rots.data
     assert np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max() < 1e-6
     assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-6
+
+
+def test_factored_first_layer_matches_the_concatenated_input(tiny_params):
+    """Splitting the first layer by input block reassociates one sum:
+    rows stay within 1e-12 of ``[z_target, z_delta, t_src] @ W0 + b0``."""
+    rng = np.random.default_rng(7)
+    p = tiny_params
+    k, c = p.config.k_parts, p.config.latent
+    z_t, z_d = rng.normal(size=(k, c)), rng.normal(size=(k, c))
+    t_src = np.stack([RigidTransform(random_rotation(rng), rng.normal(size=3)).flat()
+                      for _ in range(k)])
+    h = np.concatenate([z_t, z_d, t_src], axis=1) @ p["dec.fc0.w"].data + p["dec.fc0.b"].data
+    for i in range(1, len(p.config.dec_hidden) + 1):
+        h = np.where(h > 0.0, h, p.config.leak * h) @ p[f"dec.fc{i}.w"].data
+        h = h + p[f"dec.fc{i}.b"].data
+    _, trans, _ = decode_transforms([ad.constant(z_t)], [ad.constant(z_d)], t_src[None], p)
+    expected = h[:, 6:9] + t_src[:, 9:]
+    assert np.abs(trans.data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # ---- linear blend skinning ---------------------------------------------
@@ -268,6 +292,48 @@ def test_one_frame_decoded_onto_two_targets_matches_separate_frames(small_char, 
                                     tgt, tiny_params)
         for name in ("deformed", "rotations", "translations"):
             assert np.array_equal(getattr(reused, name).data, getattr(fresh, name).data), name
+
+
+def test_frames_decoded_onto_targets_in_one_pass_match_each_pair(small_char, tiny_params):
+    """``transfer_pose_graphs`` decodes 2 frames onto 3 targets in one pass;
+    each pair's outputs are the one-pair graph's within 1e-12 relative."""
+    targets = [encode_character(char_context(generate_character(CharacterSpec(
+        seed=seed, limb_count=2, segments_per_limb=1, torso_segments=1,
+        ring_verts=3 + seed % 2, rings_per_segment=2)).rest), tiny_params)
+        for seed in (4, 5, 6)]
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    rng = np.random.default_rng(10)
+    frames = [encode_source_frame(src.ctx.normalize(pose_character(
+        small_char, sample_pose(small_char.n_joints, rng)).vertices), src, tiny_params)
+        for _ in range(2)]
+    graphs = transfer_pose_graphs(frames, targets, tiny_params)
+    assert [len(row) for row in graphs] == [3, 3]
+    for frame, row in zip(frames, graphs):
+        for tgt, graph in zip(targets, row):
+            single = transfer_pose_graph(frame, tgt, tiny_params)
+            assert graph.frame is frame and graph.target is tgt
+            for name in ("deformed", "rotations", "translations", "t_flat"):
+                got, want = getattr(graph, name).data, getattr(single, name).data
+                assert got.shape == want.shape, name
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_source_frame_builds_no_rigid_transform(small_char, tiny_params, monkeypatch):
+    """The analytic source transforms stay one (K, 12) array: encoding a
+    frame and decoding it validates no per-part ``RigidTransform``."""
+    posed = pose_character(small_char, sample_pose(small_char.n_joints,
+                                                   np.random.default_rng(11)))
+    built = []
+    check = RigidTransform.__post_init__
+    monkeypatch.setattr(RigidTransform, "__post_init__",
+                        lambda self: built.append(1) or check(self))
+    src = encode_character(char_context(small_char.rest), tiny_params)
+    frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, tiny_params)
+    transfer_pose_graph(frame, src, tiny_params)
+    assert frame.t_stack.shape == (tiny_params.config.k_parts, 12)
+    assert built == []
+    pose_transfer(posed, small_char.rest, small_char.rest, tiny_params)
+    assert len(built) == 2 * tiny_params.config.k_parts  # the result's two lists
 
 
 def test_identity_pipeline_at_zero_init(small_char, tiny_config):
