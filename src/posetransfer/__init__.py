@@ -6,7 +6,6 @@ each mesh into deformation parts plus per-part rigid transforms, and
 linear blend skinning produces the final geometry.
 """
 from .articulation import (
-    PartCenters,
     RigidTransform,
     estimate_part_transforms,
     hard_assignment,
@@ -36,7 +35,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "ObjParseError",
-    "PartCenters",
     "PipelineConfig",
     "PoseTransferParams",
     "RigidTransform",

@@ -19,6 +19,8 @@ from .mesh import Mesh
 #: they get zero centers and rest-preserving transforms and are excluded
 #: from fitting and losses.
 COVERAGE_EPS = 1e-8
+#: Argmax vertex groups smaller than this get no hard part transform.
+MIN_HARD_VERTICES = 3
 
 _EYE3 = np.eye(3)
 
@@ -44,9 +46,22 @@ def validate_skinning(w: np.ndarray, n_vertices: int | None = None, tol: float =
     return w
 
 
+def _check_rotations(r: np.ndarray) -> None:
+    """Raise unless every rotation in the (..., 3, 3) stack is proper."""
+    if np.abs(np.swapaxes(r, -1, -2) @ r - _EYE3).max() > 1e-6:
+        raise ArticulationError("rotation is not orthonormal")
+    if np.abs(np.linalg.det(r) - 1.0).max() > 1e-6:
+        raise ArticulationError("rotation determinant is not +1")
+
+
 @dataclass(frozen=True)
 class RigidTransform:
-    """Proper rigid motion: orthonormal rotation (det +1) plus translation."""
+    """Proper rigid motion: orthonormal rotation (det +1) plus translation.
+
+    Only the NumPy LBS oracle ``lbs_deform`` takes these; everywhere else
+    a part transform is a 12-value row (row-major rotation, then
+    translation).
+    """
 
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
@@ -56,47 +71,17 @@ class RigidTransform:
         t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64)).reshape(3)
         if r.shape != (3, 3):
             raise ArticulationError(f"rotation must be 3x3, got {r.shape}")
-        if np.abs(r.T @ r - _EYE3).max() > 1e-6:
-            raise ArticulationError("rotation is not orthonormal")
-        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-6:
-            raise ArticulationError("rotation determinant is not +1")
+        _check_rotations(r)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls, center=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        """Rest-preserving transform about a part center: (I, C)."""
-        return cls(rotation=np.eye(3), translation=np.asarray(center, dtype=np.float64))
 
     def apply(self, points: np.ndarray, center: np.ndarray) -> np.ndarray:
         """R (p - C) + t for each point p."""
         return (points - center) @ self.rotation.T + self.translation
 
-    def flat(self) -> np.ndarray:
-        """12-vector: row-major rotation then translation."""
-        return np.concatenate([self.rotation.ravel(), self.translation])
 
-    @classmethod
-    def from_flat(cls, values: np.ndarray) -> "RigidTransform":
-        values = np.asarray(values, dtype=np.float64).reshape(12)
-        return cls(rotation=values[:9].reshape(3, 3), translation=values[9:])
-
-
-@dataclass(frozen=True)
-class PartCenters:
-    """Weighted part centers with per-part coverage (column sums of W)."""
-
-    centers: np.ndarray  # (K, 3)
-    coverage: np.ndarray  # (K,)
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.coverage < COVERAGE_EPS
-
-
-def part_centers(rest: Mesh, w: np.ndarray) -> PartCenters:
-    """Skinning-weighted mean vertex position per part.
+def part_centers(rest: Mesh, w: np.ndarray) -> np.ndarray:
+    """(K, 3) skinning-weighted mean vertex position per part.
 
     Degenerate parts (coverage below COVERAGE_EPS) get the zero center.
     """
@@ -105,11 +90,11 @@ def part_centers(rest: Mesh, w: np.ndarray) -> PartCenters:
     centers = np.zeros((w.shape[1], 3))
     ok = coverage >= COVERAGE_EPS
     centers[ok] = (w.T[ok] @ rest.vertices) / coverage[ok, None]
-    return PartCenters(centers=centers, coverage=coverage)
+    return centers
 
 
 def lbs_deform(rest: Mesh, w: np.ndarray, transforms: list[RigidTransform],
-               centers: PartCenters | None = None) -> Mesh:
+               centers: np.ndarray | None = None) -> Mesh:
     """Linear blend skinning: V_i = sum_k w_ik [R_k (Vbar_i - C_k) + t_k]."""
     w = validate_skinning(w, rest.n_vertices)
     if len(transforms) != w.shape[1]:
@@ -120,7 +105,7 @@ def lbs_deform(rest: Mesh, w: np.ndarray, transforms: list[RigidTransform],
         centers = part_centers(rest, w)
     out = np.zeros_like(rest.vertices)
     for k, tf in enumerate(transforms):
-        out += w[:, k, None] * tf.apply(rest.vertices, centers.centers[k])
+        out += w[:, k, None] * tf.apply(rest.vertices, centers[k])
     return rest.with_vertices(out)
 
 
@@ -159,48 +144,40 @@ def _kabsch(rest_pts: np.ndarray, posed_pts: np.ndarray, weights: np.ndarray,
     return r, t
 
 
-def estimate_part_transforms(rest: Mesh, posed: Mesh, w: np.ndarray,
-                             centers: PartCenters | None = None) -> np.ndarray:
+def _rows(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(K, 12) rows of checked rotations ``r`` and translations ``t``."""
+    _check_rotations(r)
+    return np.concatenate([r.reshape(-1, 9), t], axis=1)
+
+
+def estimate_part_transforms(rest: Mesh, posed: Mesh, w: np.ndarray) -> np.ndarray:
     """Per-part weighted rigid registration between rest and posed vertices.
 
     Returns the (K, 12) rows of the K transforms, each the row-major
-    rotation then the translation (``RigidTransform.flat``); every
-    rotation is checked to be proper at once.  Degenerate parts get the
-    rest-preserving transform (I, C_k).
+    rotation then the translation; every rotation is checked to be
+    proper at once.  Degenerate parts get the rest-preserving transform
+    (I, C_k).
     """
     w = validate_skinning(w, rest.n_vertices)
     if posed.n_vertices != rest.n_vertices:
         raise ArticulationError("rest and posed vertex counts differ")
-    if centers is None:
-        centers = part_centers(rest, w)
-    r, t = _kabsch(rest.vertices, posed.vertices, w.T, centers.centers,
-                   ~centers.degenerate)
-    if np.abs(np.swapaxes(r, 1, 2) @ r - _EYE3).max() > 1e-6:
-        raise ArticulationError("rotation is not orthonormal")
-    if np.abs(np.linalg.det(r) - 1.0).max() > 1e-6:
-        raise ArticulationError("rotation determinant is not +1")
-    return np.concatenate([r.reshape(-1, 9), t], axis=1)
-
-
-def rigid_transforms(rows: np.ndarray) -> list[RigidTransform]:
-    """One ``RigidTransform`` per 12-value row (row-major rotation, then
-    translation)."""
-    return [RigidTransform.from_flat(row) for row in rows]
+    # a NaN coverage is fitted, so that the SVD reports it
+    fit = ~(w.sum(axis=0) < COVERAGE_EPS)
+    return _rows(*_kabsch(rest.vertices, posed.vertices, w.T, part_centers(rest, w), fit))
 
 
 def hard_part_transforms(rest: Mesh, posed: Mesh, labels: np.ndarray,
-                         centers: PartCenters, min_vertices: int = 3) -> list[RigidTransform | None]:
-    """Unweighted per-part Kabsch on argmax-assigned vertex groups.
+                         centers: np.ndarray) -> list[np.ndarray | None]:
+    """Unweighted per-part Kabsch on argmax-assigned vertex groups, about
+    the (K, 3) ``centers``: one 12-value row per part.
 
-    Parts with fewer than ``min_vertices`` assigned vertices yield None;
-    the transform-regression loss skips them.
+    Parts with fewer than ``MIN_HARD_VERTICES`` assigned vertices yield
+    None; the transform-regression loss skips them.
     """
-    k = centers.centers.shape[0]
-    members = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
-    kept = members.sum(axis=1) >= min_vertices
-    r, t = _kabsch(rest.vertices, posed.vertices, members, centers.centers, kept)
-    return [RigidTransform(rotation=r_k, translation=t_k) if keep else None
-            for r_k, t_k, keep in zip(r, t, kept)]
+    members = (labels[None, :] == np.arange(len(centers))[:, None]).astype(np.float64)
+    kept = members.sum(axis=1) >= MIN_HARD_VERTICES
+    rows = _rows(*_kabsch(rest.vertices, posed.vertices, members, centers, kept))
+    return [row if keep else None for row, keep in zip(rows, kept)]
 
 
 def save_skinning(w: np.ndarray, path) -> None:
@@ -222,18 +199,14 @@ def load_skinning(path) -> np.ndarray:
         w = np.loadtxt(fh, dtype=np.float64, ndmin=2)
     if w.shape != (n, k):
         raise ArticulationError(f"{path}: expected {(n, k)} weights, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ArticulationError(f"{path}: non-finite skinning weight")
     return validate_skinning(w)
 
 
-def save_transforms(transforms: list[RigidTransform], path) -> None:
+def save_transforms(rows: np.ndarray, path) -> None:
     """Text format: K lines of 12 floats (row-major rotation, translation)."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 12)
+    line = " ".join(["%.17g"] * 12) + "\n"
     with open(path, "w") as fh:
-        for tf in transforms:
-            fh.write(" ".join(f"{x:.17g}" for x in tf.flat()) + "\n")
-
-
-def load_transforms(path) -> list[RigidTransform]:
-    data = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    if data.shape[1] != 12:
-        raise ArticulationError(f"{path}: expected 12 values per line")
-    return rigid_transforms(data)
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))

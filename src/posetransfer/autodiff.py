@@ -36,9 +36,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 

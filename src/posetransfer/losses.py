@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .articulation import PartCenters, hard_assignment, hard_part_transforms, part_centers
+from .articulation import hard_assignment, hard_part_transforms, part_centers
 from .mesh import Mesh, edge_set
 from .networks import (
     PoseTransferParams,
@@ -40,11 +40,12 @@ def loss_rec(pred, gt) -> ad.Tensor:
 
 
 def transform_truth(rest: Mesh, gt_posed: Mesh, w: np.ndarray,
-                    centers: PartCenters | None = None) -> list:
+                    centers: np.ndarray | None = None) -> list:
     """Analytic ground truth of the part transforms from ``rest`` to
-    ``gt_posed``: unweighted Kabsch on argmax-assigned vertex groups of
-    ``w``, about ``centers`` (by default the renormalized ``w``'s).  Parts
-    with fewer than 3 assigned vertices are None.
+    ``gt_posed``, one 12-value row per part: unweighted Kabsch on
+    argmax-assigned vertex groups of ``w``, about the (K, 3) ``centers``
+    (by default the renormalized ``w``'s).  Parts with fewer than
+    ``MIN_HARD_VERTICES`` assigned vertices are None.
     """
     w = _renormalized(np.asarray(w, dtype=np.float64))
     if centers is None:
@@ -59,10 +60,10 @@ def loss_trans(pred_flat, truth: list) -> ad.Tensor:
     the per-part list of ``transform_truth``; skipped parts do not count.
     """
     pred_flat = ad.as_tensor(pred_flat)
-    keep = [k for k, tf in enumerate(truth) if tf is not None]
+    keep = [k for k, row in enumerate(truth) if row is not None]
     if not keep:
         return ad.Tensor(0.0)
-    gt_rows = ad.constant(np.stack([truth[k].flat() for k in keep]))
+    gt_rows = ad.constant(np.stack([truth[k] for k in keep]))
     return _mean_l1(ad.rows(pred_flat, np.array(keep)), gt_rows)
 
 

@@ -61,10 +61,6 @@ class Mesh:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def n_faces(self) -> int:
-        return self.faces.shape[0]
-
     def with_vertices(self, vertices: np.ndarray) -> "Mesh":
         """Same connectivity, new vertex positions."""
         return Mesh(vertices=vertices, faces=self.faces, name=self.name)

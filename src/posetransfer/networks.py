@@ -41,12 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .articulation import (
-    COVERAGE_EPS,
-    RigidTransform,
-    estimate_part_transforms,
-    rigid_transforms,
-)
+from .articulation import COVERAGE_EPS, estimate_part_transforms
 from .mesh import (
     GraphOperator,
     Mesh,
@@ -416,8 +411,8 @@ class TransferResult:
     mesh: Mesh
     w_source: np.ndarray
     w_target: np.ndarray
-    transforms: list[RigidTransform]
-    t_source: list[RigidTransform]
+    transforms: np.ndarray  # (K, 12) predicted part transforms
+    t_source: np.ndarray  # (K, 12) analytic source transforms
 
 
 def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
@@ -437,6 +432,6 @@ def pose_transfer(source_posed: Mesh, source_rest: Mesh, target_rest: Mesh,
         mesh=target_rest.with_vertices(tgt.ctx.denormalize(graph.deformed.data)),
         w_source=_renormalized(src.w.data),
         w_target=_renormalized(tgt.w.data),
-        transforms=rigid_transforms(graph.t_flat.data),
-        t_source=rigid_transforms(frame.t_stack),
+        transforms=graph.t_flat.data,
+        t_source=frame.t_stack,
     )

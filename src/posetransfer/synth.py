@@ -9,8 +9,8 @@ chain over the joint tree and applies ground-truth LBS; the pose-transfer
 engine itself never sees the joint tree.
 
 Characters in the paired split share the joint layout (so one pose spec
-poses all of them, joint for joint) and differ in proportions and mesh
-resolution; static characters vary limb count and segment count as well.
+poses all of them, joint for joint) and differ in proportions; static
+characters vary limb count and segment count as well.
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .articulation import (
-    PartCenters,
-    RigidTransform,
-    lbs_deform,
-    load_skinning,
-    save_skinning,
-)
+from .articulation import RigidTransform, lbs_deform, load_skinning, save_skinning
 from .mesh import Mesh, load_obj, save_obj
 
 #: Fraction of a segment's length over which skinning blends into the parent.
@@ -185,17 +179,6 @@ def _build_chain(segments_def, ring_verts, rings_per_segment, vertices, faces,
     return chain_ids
 
 
-def chain_vertex_count(spec: CharacterSpec, n_segments: int) -> int:
-    """Closed-form vertex count of one welded chain with two apex caps."""
-    rings = spec.rings_per_segment + (n_segments - 1) * (spec.rings_per_segment - 1)
-    return rings * spec.ring_verts + 2
-
-
-def expected_vertex_count(spec: CharacterSpec) -> int:
-    return (chain_vertex_count(spec, spec.torso_segments)
-            + spec.limb_count * chain_vertex_count(spec, spec.segments_per_limb))
-
-
 def generate_character(spec: CharacterSpec) -> CharacterSample:
     """Deterministic rest-pose character for a spec (no posed instances)."""
     rng = np.random.default_rng(
@@ -309,8 +292,7 @@ def pose_character(sample: CharacterSample, pose: PoseSpec) -> Mesh:
     # world transforms act on absolute positions: LBS about zero centers
     transforms = [RigidTransform(r, t) for r, t in part_world_transforms(sample, pose)]
     w = sample.gt_skinning
-    origin = PartCenters(centers=np.zeros((w.shape[1], 3)), coverage=w.sum(axis=0))
-    return lbs_deform(sample.rest, w, transforms, origin)
+    return lbs_deform(sample.rest, w, transforms, np.zeros((w.shape[1], 3)))
 
 
 def sample_pose(n_joints: int, rng: np.random.Generator,

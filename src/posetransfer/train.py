@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .articulation import PartCenters
 from .evaluation import pmd
 from .losses import (
     loss_cycle,
@@ -334,10 +333,8 @@ def trans_truth(graph: TransferGraph, posed) -> list:
     ``posed`` (normalized) under its detached skinning and part centers."""
     target = graph.target
     rest = target.ctx.mesh.with_vertices(target.ctx.norm_vertices)
-    w = target.w.data
-    return transform_truth(rest, rest.with_vertices(posed), w,
-                           centers=PartCenters(centers=target.centers.data,
-                                               coverage=w.sum(axis=0)))
+    return transform_truth(rest, rest.with_vertices(posed), target.w.data,
+                           centers=target.centers.data)
 
 
 def loss_components(frame: SourceFrame, target: CharEncoding, truth, skinned: list,

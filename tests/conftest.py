@@ -8,6 +8,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
+from posetransfer.articulation import RigidTransform
 from posetransfer.mesh import Mesh
 from posetransfer.networks import PipelineConfig, init_params
 from posetransfer.synth import CharacterSpec, generate_character
@@ -53,3 +54,20 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def random_rows(rng: np.random.Generator, k: int) -> np.ndarray:
+    """(k, 12) rows of random rigid transforms: row-major rotation, then
+    translation."""
+    return np.stack([np.concatenate([random_rotation(rng).ravel(), rng.normal(size=3)])
+                     for _ in range(k)])
+
+
+def rest_rows(centers: np.ndarray) -> np.ndarray:
+    """(K, 12) rows of the rest-preserving transforms (I, C_k)."""
+    return np.concatenate([np.tile(np.eye(3).ravel(), (len(centers), 1)), centers], axis=1)
+
+
+def as_rigid(rows: np.ndarray) -> list[RigidTransform]:
+    """One ``RigidTransform`` per 12-value row, for the ``lbs_deform`` oracle."""
+    return [RigidTransform(row[:9].reshape(3, 3), row[9:]) for row in rows]

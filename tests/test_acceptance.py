@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from posetransfer.articulation import (
-    RigidTransform,
     estimate_part_transforms,
     lbs_deform,
     part_centers,
-    rigid_transforms,
     validate_skinning,
 )
 from posetransfer.evaluation import consistency_scores, cross_pmd
@@ -36,7 +34,7 @@ from posetransfer.synth import (
 )
 from posetransfer.train import TrainConfig, fit, load_checkpoint, save_checkpoint
 
-from conftest import random_rotation
+from conftest import as_rigid, random_rotation, random_rows, rest_rows
 
 
 def _status(criterion: str, ok: bool, detail: str) -> None:
@@ -96,25 +94,21 @@ def test_articulation_oracles():
     mesh = Mesh(vertices=v, faces=[[i, (i + 1) % n, (i + 2) % n] for i in range(n)])
     w = rng.uniform(size=(n, 5))
     w /= w.sum(axis=1, keepdims=True)
-    pc = part_centers(mesh, w)
-
-    rest_identity = lbs_deform(mesh, w, [RigidTransform.identity(c) for c in pc.centers])
+    rest_identity = lbs_deform(mesh, w, as_rigid(rest_rows(part_centers(mesh, w))))
     err_identity = np.abs(rest_identity.vertices - v).max()
 
     r_star = random_rotation(rng)
     t_star = rng.normal(size=3)
     posed = mesh.with_vertices(v @ r_star.T + t_star)
-    recovered = rigid_transforms(estimate_part_transforms(mesh, posed, w))
-    err_rot = max(np.abs(tf.rotation - r_star).max() for tf in recovered)
-    err_round = np.abs(lbs_deform(mesh, w, recovered).vertices - posed.vertices).max()
+    recovered = estimate_part_transforms(mesh, posed, w)
+    err_rot = np.abs(recovered[:, :9] - r_star.ravel()).max()
+    err_round = np.abs(lbs_deform(mesh, w, as_rigid(recovered)).vertices - posed.vertices).max()
 
     labels = rng.integers(0, 3, size=n)
     hot = np.zeros((n, 3))
     hot[np.arange(n), labels] = 1.0
-    motions = [RigidTransform(rotation=random_rotation(rng),
-                              translation=rng.normal(size=3)) for _ in range(3)]
-    deformed = lbs_deform(mesh, hot, motions)
-    again = lbs_deform(mesh, hot, rigid_transforms(estimate_part_transforms(mesh, deformed, hot)))
+    deformed = lbs_deform(mesh, hot, as_rigid(random_rows(rng, 3)))
+    again = lbs_deform(mesh, hot, as_rigid(estimate_part_transforms(mesh, deformed, hot)))
     err_hot = np.abs(again.vertices - deformed.vertices).max()
 
     ok = err_identity <= 1e-6 and err_rot < 1e-6 and err_round < 1e-6 and err_hot <= 1e-5
@@ -168,7 +162,7 @@ def test_identity_at_init_matches_analytic_retarget():
     # transforms under the predicted target skinning, then denormalize
     tgt_ctx = char_context(tgt.rest)
     norm_target = tgt.rest.with_vertices(tgt_ctx.norm_vertices)
-    analytic = lbs_deform(norm_target, result.w_target, result.t_source)
+    analytic = lbs_deform(norm_target, result.w_target, as_rigid(result.t_source))
     expected = tgt_ctx.denormalize(analytic.vertices)
     err = np.abs(result.mesh.vertices - expected).max()
     ok = err <= 1e-6

@@ -10,16 +10,14 @@ from posetransfer.articulation import (
     hard_part_transforms,
     lbs_deform,
     load_skinning,
-    load_transforms,
     part_centers,
-    rigid_transforms,
     save_skinning,
     save_transforms,
     validate_skinning,
 )
 from posetransfer.mesh import Mesh
 
-from conftest import random_rotation
+from conftest import as_rigid, random_rotation, random_rows, rest_rows
 
 
 def _random_skinning(rng, n, k):
@@ -50,7 +48,7 @@ def test_rigid_transform_validation():
     with pytest.raises(ArticulationError, match="determinant is not"):
         RigidTransform(rotation=reflection, translation=np.zeros(3))
     rng = np.random.default_rng(3)
-    for _ in range(20):  # the closed-form determinant agrees with LAPACK's
+    for _ in range(20):
         r = random_rotation(rng)
         assert RigidTransform(rotation=r, translation=np.zeros(3)).rotation.tobytes() == \
             np.ascontiguousarray(r).tobytes()
@@ -59,17 +57,22 @@ def test_rigid_transform_validation():
 
 
 def test_estimated_rows_are_checked_at_once(monkeypatch):
-    """``estimate_part_transforms`` returns one flat row per part, the same
-    numbers a ``RigidTransform`` of each part would hold, and rejects an
-    improper rotation among them with the ``RigidTransform`` errors."""
+    """Both Kabsch producers return one 12-value row per part (row-major
+    rotation, then translation) and reject an improper rotation among
+    them with the ``RigidTransform`` errors."""
     rng = np.random.default_rng(17)
     mesh = _cloud_mesh(rng)
     w = _random_skinning(rng, mesh.n_vertices, 4)
     posed = mesh.with_vertices(mesh.vertices @ random_rotation(rng).T)
-    rows = estimate_part_transforms(mesh, posed, w)
-    assert rows.shape == (4, 12)
-    assert np.array_equal(np.stack([tf.flat() for tf in rigid_transforms(rows)]), rows)
+    producers = (lambda: estimate_part_transforms(mesh, posed, w),
+                 lambda: hard_part_transforms(mesh, posed, np.arange(mesh.n_vertices) % 4,
+                                              part_centers(mesh, w)))
     kabsch = articulation._kabsch
+    for produce in producers:
+        rows = np.stack(produce())
+        assert rows.shape == (4, 12)
+        r = rows[:, :9].reshape(4, 3, 3)
+        assert np.abs(np.linalg.det(r) - 1.0).max() < 1e-9
     for scale, message in ((np.diag([1.0, 1.0, -1.0]), "determinant is not"),
                            (np.eye(3) * 1.1, "not orthonormal")):
         def broken(*args, scale=scale):
@@ -77,16 +80,9 @@ def test_estimated_rows_are_checked_at_once(monkeypatch):
             r[2] = r[2] @ scale
             return r, t
         monkeypatch.setattr(articulation, "_kabsch", broken)
-        with pytest.raises(ArticulationError, match=message):
-            estimate_part_transforms(mesh, posed, w)
-
-
-def test_rigid_transform_flat_round_trip():
-    r = random_rotation(np.random.default_rng(0))
-    tf = RigidTransform(rotation=r, translation=[1.0, 2.0, 3.0])
-    back = RigidTransform.from_flat(tf.flat())
-    assert np.abs(back.rotation - tf.rotation).max() == 0.0
-    assert np.abs(back.translation - tf.translation).max() == 0.0
+        for produce in producers:
+            with pytest.raises(ArticulationError, match=message):
+                produce()
 
 
 # ---- part centers ------------------------------------------------------
@@ -94,10 +90,9 @@ def test_rigid_transform_flat_round_trip():
 def test_part_centers_uniform_weights_give_centroid(tetrahedron):
     k = 5
     w = np.full((4, k), 1.0 / k)
-    pc = part_centers(tetrahedron, w)
-    centroid = tetrahedron.vertices.mean(axis=0)
-    assert np.abs(pc.centers - centroid).max() < 1e-12
-    assert not pc.degenerate.any()
+    centers = part_centers(tetrahedron, w)
+    assert centers.shape == (k, 3)
+    assert np.abs(centers - tetrahedron.vertices.mean(axis=0)).max() < 1e-12
 
 
 def test_part_centers_one_hot_selects_vertex(tetrahedron):
@@ -105,16 +100,16 @@ def test_part_centers_one_hot_selects_vertex(tetrahedron):
     w[:, 0] = 1.0
     w[2, 0] = 0.0
     w[2, 1] = 1.0
-    pc = part_centers(tetrahedron, w)
-    assert np.abs(pc.centers[1] - tetrahedron.vertices[2]).max() < 1e-12
+    centers = part_centers(tetrahedron, w)
+    assert np.abs(centers[1] - tetrahedron.vertices[2]).max() < 1e-12
 
 
 def test_part_centers_zero_column_is_degenerate(tetrahedron):
     w = np.zeros((4, 3))
     w[:, 0] = 1.0
-    pc = part_centers(tetrahedron, w)
-    assert pc.degenerate.tolist() == [False, True, True]
-    assert (pc.centers[1:] == 0.0).all()
+    centers = part_centers(tetrahedron, w)
+    assert np.abs(centers[0] - tetrahedron.vertices.mean(axis=0)).max() < 1e-12
+    assert (centers[1:] == 0.0).all()
 
 
 # ---- LBS ---------------------------------------------------------------
@@ -123,9 +118,7 @@ def test_lbs_rest_preserving_identity():
     rng = np.random.default_rng(2)
     mesh = _cloud_mesh(rng)
     w = _random_skinning(rng, mesh.n_vertices, 6)
-    pc = part_centers(mesh, w)
-    transforms = [RigidTransform.identity(c) for c in pc.centers]
-    out = lbs_deform(mesh, w, transforms)
+    out = lbs_deform(mesh, w, as_rigid(rest_rows(part_centers(mesh, w))))
     assert np.abs(out.vertices - mesh.vertices).max() < 1e-6
 
 
@@ -146,17 +139,17 @@ def test_lbs_matches_scalar_loop_oracle():
     mesh = _cloud_mesh(rng)
     n = mesh.n_vertices
     w = np.full((n, 2), 0.5)
-    pc = part_centers(mesh, w)
+    centers = part_centers(mesh, w)
     transforms = [
-        RigidTransform(rotation=np.eye(3), translation=pc.centers[0] + [0.3, 0.0, 0.0]),
-        RigidTransform(rotation=np.eye(3), translation=pc.centers[1] + [0.0, -0.2, 0.1]),
+        RigidTransform(rotation=np.eye(3), translation=centers[0] + [0.3, 0.0, 0.0]),
+        RigidTransform(rotation=np.eye(3), translation=centers[1] + [0.0, -0.2, 0.1]),
     ]
     out = lbs_deform(mesh, w, transforms)
     expected = np.zeros((n, 3))
     for i in range(n):
         for k, tf in enumerate(transforms):
             expected[i] += w[i, k] * (
-                tf.rotation @ (mesh.vertices[i] - pc.centers[k]) + tf.translation)
+                tf.rotation @ (mesh.vertices[i] - centers[k]) + tf.translation)
     assert np.abs(out.vertices - expected).max() < 1e-12
 
 
@@ -164,8 +157,7 @@ def test_lbs_global_rotation_equivariance():
     rng = np.random.default_rng(5)
     mesh = _cloud_mesh(rng)
     w = _random_skinning(rng, mesh.n_vertices, 3)
-    transforms = [RigidTransform(rotation=random_rotation(rng),
-                                 translation=rng.normal(size=3)) for _ in range(3)]
+    transforms = as_rigid(random_rows(rng, 3))
     g = random_rotation(rng)
     out = lbs_deform(mesh, w, transforms)
     rotated_mesh = mesh.with_vertices(mesh.vertices @ g.T)
@@ -180,7 +172,7 @@ def test_lbs_dimension_mismatch():
     mesh = _cloud_mesh(rng)
     w = _random_skinning(rng, mesh.n_vertices, 3)
     with pytest.raises(ArticulationError):
-        lbs_deform(mesh, w, [RigidTransform.identity()] * 2)
+        lbs_deform(mesh, w, as_rigid(rest_rows(np.zeros((2, 3)))))
 
 
 # ---- hard assignment ---------------------------------------------------
@@ -208,10 +200,8 @@ def test_estimate_identity_when_posed_equals_rest():
     rng = np.random.default_rng(8)
     mesh = _cloud_mesh(rng)
     w = _random_skinning(rng, mesh.n_vertices, 4)
-    pc = part_centers(mesh, w)
-    for k, tf in enumerate(rigid_transforms(estimate_part_transforms(mesh, mesh, w))):
-        assert np.abs(tf.rotation - np.eye(3)).max() < 1e-6
-        assert np.abs(tf.translation - pc.centers[k]).max() < 1e-6
+    rows = estimate_part_transforms(mesh, mesh, w)
+    assert np.abs(rows - rest_rows(part_centers(mesh, w))).max() < 1e-6
 
 
 def test_estimate_recovers_global_rigid_motion():
@@ -221,10 +211,9 @@ def test_estimate_recovers_global_rigid_motion():
     r_star = random_rotation(rng)
     t_star = rng.normal(size=3)
     posed = mesh.with_vertices(mesh.vertices @ r_star.T + t_star)
-    transforms = rigid_transforms(estimate_part_transforms(mesh, posed, w))
-    for tf in transforms:
-        assert np.abs(tf.rotation - r_star).max() < 1e-6
-    back = lbs_deform(mesh, w, transforms)
+    rows = estimate_part_transforms(mesh, posed, w)
+    assert np.abs(rows[:, :9] - r_star.ravel()).max() < 1e-6
+    back = lbs_deform(mesh, w, as_rigid(rows))
     assert np.abs(back.vertices - posed.vertices).max() < 1e-6
 
 
@@ -237,8 +226,8 @@ def test_estimate_one_hot_90_degree_rotation():
     w = np.zeros((5, 2))
     w[:4, 0] = 1.0
     w[4, 1] = 1.0
-    tf = rigid_transforms(estimate_part_transforms(mesh, posed, w))[0]
-    assert np.abs(tf.rotation - r90).max() < 1e-6
+    row = estimate_part_transforms(mesh, posed, w)[0]
+    assert np.abs(row[:9] - r90.ravel()).max() < 1e-6
 
 
 def test_estimate_degenerate_part_gets_rest_preserving_transform():
@@ -246,9 +235,8 @@ def test_estimate_degenerate_part_gets_rest_preserving_transform():
     mesh = _cloud_mesh(rng)
     w = np.zeros((mesh.n_vertices, 2))
     w[:, 0] = 1.0
-    tf = rigid_transforms(estimate_part_transforms(mesh, mesh, w))[1]
-    assert np.abs(tf.rotation - np.eye(3)).max() == 0.0
-    assert np.abs(tf.translation).max() == 0.0
+    row = estimate_part_transforms(mesh, mesh, w)[1]
+    assert np.array_equal(row, rest_rows(np.zeros((1, 3)))[0])
 
 
 def test_one_hot_round_trip_deform_estimate_deform():
@@ -258,11 +246,9 @@ def test_one_hot_round_trip_deform_estimate_deform():
     labels = rng.integers(0, 3, size=n)
     w = np.zeros((n, 3))
     w[np.arange(n), labels] = 1.0
-    transforms = [RigidTransform(rotation=random_rotation(rng),
-                                 translation=rng.normal(size=3)) for _ in range(3)]
-    deformed = lbs_deform(mesh, w, transforms)
-    recovered = rigid_transforms(estimate_part_transforms(mesh, deformed, w))
-    again = lbs_deform(mesh, w, recovered)
+    deformed = lbs_deform(mesh, w, as_rigid(random_rows(rng, 3)))
+    recovered = estimate_part_transforms(mesh, deformed, w)
+    again = lbs_deform(mesh, w, as_rigid(recovered))
     assert np.abs(again.vertices - deformed.vertices).max() < 1e-5
 
 
@@ -274,10 +260,9 @@ def test_hard_part_transforms_skips_small_parts():
     labels[0] = 1  # part 1 has a single vertex
     w = np.zeros((n, 2))
     w[np.arange(n), labels] = 1.0
-    pc = part_centers(mesh, w)
-    out = hard_part_transforms(mesh, mesh, labels, pc)
+    out = hard_part_transforms(mesh, mesh, labels, part_centers(mesh, w))
     assert out[1] is None
-    assert out[0] is not None
+    assert out[0].shape == (12,)
 
 
 def _kabsch_oracle(rest_pts, posed_pts, weights, center):
@@ -316,19 +301,19 @@ def _oracle_case(rng):
     return Mesh(vertices=rest, faces=faces), Mesh(vertices=posed, faces=faces), w, labels
 
 
-def _assert_matches_oracle(tf, r, t):
-    assert np.abs(tf.rotation - r).max() < 1e-9
-    assert np.abs(tf.translation - t).max() < 1e-9
+def _assert_matches_oracle(row, r, t):
+    assert np.abs(row[:9] - r.ravel()).max() < 1e-9
+    assert np.abs(row[9:] - t).max() < 1e-9
 
 
 def test_estimate_matches_scalar_kabsch_oracle():
     mesh, posed, w, _ = _oracle_case(np.random.default_rng(15))
-    pc = part_centers(mesh, w)
-    out = rigid_transforms(estimate_part_transforms(mesh, posed, w))
-    assert pc.degenerate.tolist() == [False, False, True, False, False]
-    _assert_matches_oracle(out[2], np.eye(3), pc.centers[2])
+    centers = part_centers(mesh, w)
+    out = estimate_part_transforms(mesh, posed, w)
+    assert (w.sum(axis=0) == 0.0).tolist() == [False, False, True, False, False]
+    _assert_matches_oracle(out[2], np.eye(3), centers[2])
     for k in (0, 1, 3, 4):
-        r, t, d = _kabsch_oracle(mesh.vertices, posed.vertices, w[:, k], pc.centers[k])
+        r, t, d = _kabsch_oracle(mesh.vertices, posed.vertices, w[:, k], centers[k])
         _assert_matches_oracle(out[k], r, t)
         if k == 3:
             assert d < 0
@@ -336,13 +321,13 @@ def test_estimate_matches_scalar_kabsch_oracle():
 
 def test_hard_part_transforms_match_scalar_kabsch_oracle():
     mesh, posed, w, labels = _oracle_case(np.random.default_rng(16))
-    pc = part_centers(mesh, w)
-    out = hard_part_transforms(mesh, posed, labels, pc)
+    centers = part_centers(mesh, w)
+    out = hard_part_transforms(mesh, posed, labels, centers)
     assert [tf is None for tf in out] == [False, False, True, False, True]
     for k in (0, 1, 3):
         mask = labels == k
         r, t, d = _kabsch_oracle(mesh.vertices[mask], posed.vertices[mask],
-                                 np.ones(int(mask.sum())), pc.centers[k])
+                                 np.ones(int(mask.sum())), centers[k])
         _assert_matches_oracle(out[k], r, t)
         assert (d < 0) == (k == 3)
 
@@ -378,13 +363,16 @@ def test_skinning_file_bytes_match_row_oracle(tmp_path):
         assert (tmp_path / "bulk.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
 
 
-def test_transform_file_round_trip(tmp_path):
+def test_transform_file_bytes_match_value_oracle(tmp_path):
+    """``save_transforms`` writes each value as ``f"{x:.17g}"``, 12 to a
+    line, which reads back exactly."""
     rng = np.random.default_rng(14)
-    transforms = [RigidTransform(rotation=random_rotation(rng),
-                                 translation=rng.normal(size=3)) for _ in range(3)]
+    extremes = np.array([[-0.0, 5e-324, 1e308, 1.0] * 3])
     p = tmp_path / "t.txt"
-    save_transforms(transforms, p)
-    back = load_transforms(p)
-    for a, b in zip(transforms, back):
-        assert np.abs(a.rotation - b.rotation).max() == 0.0
-        assert np.abs(a.translation - b.translation).max() == 0.0
+    for rows in (random_rows(rng, 3), extremes, np.vstack([extremes, -extremes]),
+                 np.zeros((0, 12))):
+        save_transforms(rows, p)
+        assert p.read_text() == "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
+                                        for row in rows)
+        if len(rows):
+            assert np.array_equal(np.loadtxt(p, ndmin=2), rows)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from posetransfer import cli, networks
-from posetransfer.articulation import load_skinning, load_transforms, validate_skinning
+from posetransfer.articulation import load_skinning, validate_skinning
 from posetransfer.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USER, main
 from posetransfer.evaluation import pmd
 from posetransfer.mesh import load_obj
@@ -109,8 +109,7 @@ def test_transfer_writes_obj_and_sidecars(workspace, tmp_path):
     assert (result.faces == target.faces).all()
     w = load_skinning(skin)
     validate_skinning(w, target.n_vertices)
-    transforms = load_transforms(trans)
-    assert len(transforms) == w.shape[1]
+    assert np.loadtxt(trans, ndmin=2).shape == (w.shape[1], 12)
 
 
 def test_transfer_missing_input_is_user_error(workspace, tmp_path, capsys):
@@ -302,6 +301,12 @@ def _corrupt_first_vertex(data, name):
     (data / name).write_text("\n".join(lines) + "\n")
 
 
+def _nan_first_weight(data, name):
+    header, first, *rest = (data / name).read_text().splitlines()
+    first = "nan " + first.split(" ", 1)[1]
+    (data / name).write_text("\n".join([header, first, *rest]) + "\n")
+
+
 def _truncated_ckpt(ws, tmp):
     return _write(tmp / "trunc.npz", (ws / "run" / "ckpt_final.npz").read_bytes()[:500])
 
@@ -430,6 +435,9 @@ MALFORMED = [
      lambda ws, t: _eval(ws, t, data=_dataset(
          ws, t, lambda d: _write(d / "manifest.txt", (d / "manifest.txt").read_text().replace(
              "held01_pose0.obj,held01_pose1.obj", "held01_pose0.obj"))))),
+    ("eval-non-finite-skinning", EXIT_USER, "held00_skinning.txt",
+     lambda ws, t: _eval(ws, t, data=_dataset(
+         ws, t, lambda d: _nan_first_weight(d, "held00_skinning.txt")))),
     ("eval-unwritable-report", EXIT_IO, "no_dir",
      lambda ws, t: _eval(ws, t, report=str(t / "no_dir" / "r.csv"))),
     ("gradcheck-negative-seed", EXIT_USER, "--seed",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posetransfer import autodiff as ad
-from posetransfer.articulation import RigidTransform, lbs_deform, part_centers
+from posetransfer.articulation import lbs_deform, part_centers
 from posetransfer.losses import (
     loss_cycle,
     loss_edge,
@@ -23,7 +23,7 @@ from posetransfer.networks import (
 )
 from posetransfer.synth import pose_character, sample_pose
 
-from conftest import random_rotation
+from conftest import as_rigid, random_rotation, random_rows, rest_rows
 
 
 def _cloud_mesh(rng, n=10):
@@ -36,14 +36,14 @@ def _cloud_mesh(rng, n=10):
 
 def test_loss_rec_zero_on_identical():
     v = np.random.default_rng(0).normal(size=(6, 3))
-    assert loss_rec(ad.constant(v), v).item() == 0.0
+    assert float(loss_rec(ad.constant(v), v).data) == 0.0
 
 
 def test_loss_rec_uniform_offset():
     v = np.zeros((5, 3))
     shifted = v + np.array([1.0, 0.0, 0.0])
     # mean over all 15 coordinates: 5 coordinates differ by 1 -> 1/3
-    assert abs(loss_rec(ad.constant(shifted), v).item() - 1.0 / 3.0) < 1e-12
+    assert abs(float(loss_rec(ad.constant(shifted), v).data) - 1.0 / 3.0) < 1e-12
 
 
 def test_loss_rec_matches_scalar_oracle():
@@ -55,7 +55,7 @@ def test_loss_rec_matches_scalar_oracle():
         for d in range(3):
             expected += abs(a[i, d] - b[i, d])
     expected /= 21.0
-    assert abs(loss_rec(ad.constant(a), b).item() - expected) < 1e-12
+    assert abs(float(loss_rec(ad.constant(a), b).data) - expected) < 1e-12
 
 
 def test_loss_rec_shape_mismatch():
@@ -72,11 +72,9 @@ def test_loss_trans_zero_when_prediction_matches_ground_truth():
     labels = rng.integers(0, 2, size=n)
     w = np.zeros((n, 2))
     w[np.arange(n), labels] = 1.0
-    transforms = [RigidTransform(rotation=random_rotation(rng),
-                                 translation=rng.normal(size=3)) for _ in range(2)]
-    posed = lbs_deform(mesh, w, transforms)
-    pred = np.stack([tf.flat() for tf in transforms])
-    val = loss_trans(ad.constant(pred), transform_truth(mesh, posed, w)).item()
+    pred = random_rows(rng, 2)
+    posed = lbs_deform(mesh, w, as_rigid(pred))
+    val = float(loss_trans(ad.constant(pred), transform_truth(mesh, posed, w)).data)
     assert val < 1e-6
 
 
@@ -86,9 +84,8 @@ def test_loss_trans_rest_pose_targets_rest_preserving_transforms():
     w = np.zeros((12, 2))
     w[:6, 0] = 1.0
     w[6:, 1] = 1.0
-    pc = part_centers(mesh, w)
-    pred = np.stack([RigidTransform.identity(c).flat() for c in pc.centers])
-    val = loss_trans(ad.constant(pred), transform_truth(mesh, mesh, w)).item()
+    pred = rest_rows(part_centers(mesh, w))
+    val = float(loss_trans(ad.constant(pred), transform_truth(mesh, mesh, w)).data)
     assert val < 1e-9
 
 
@@ -98,12 +95,11 @@ def test_loss_trans_penalizes_translation_error():
     w = np.zeros((12, 2))
     w[:6, 0] = 1.0
     w[6:, 1] = 1.0
-    pc = part_centers(mesh, w)
-    good = np.stack([RigidTransform.identity(c).flat() for c in pc.centers])
+    good = rest_rows(part_centers(mesh, w))
     bad = good.copy()
     bad[0, 9:] += 0.6  # shift part-0 translation by 0.6 in every axis
     # mean L1 over 2 parts x 12 numbers: 3 entries off by 0.6 -> 1.8 / 24
-    diff = loss_trans(ad.constant(bad), transform_truth(mesh, mesh, w)).item()
+    diff = float(loss_trans(ad.constant(bad), transform_truth(mesh, mesh, w)).data)
     assert abs(diff - 1.8 / 24.0) < 1e-9
 
 
@@ -114,7 +110,7 @@ def test_loss_edge_zero_under_rigid_motion():
     mesh = _cloud_mesh(rng)
     r = random_rotation(rng)
     moved = mesh.vertices @ r.T + rng.normal(size=3)
-    assert loss_edge(ad.constant(moved), mesh).item() < 1e-9
+    assert float(loss_edge(ad.constant(moved), mesh).data) < 1e-9
 
 
 def test_loss_edge_uniform_scale_doubling():
@@ -123,7 +119,7 @@ def test_loss_edge_uniform_scale_doubling():
     edges = edge_set(mesh)
     rest_len = np.linalg.norm(
         mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
-    val = loss_edge(ad.constant(mesh.vertices * 2.0), mesh).item()
+    val = float(loss_edge(ad.constant(mesh.vertices * 2.0), mesh).data)
     assert abs(val - rest_len.mean()) < 1e-9
 
 
@@ -138,7 +134,7 @@ def test_loss_edge_matches_scalar_oracle():
         now = np.linalg.norm(pred[i] - pred[j])
         expected += abs(now - rest)
     expected /= len(edges)
-    assert abs(loss_edge(ad.constant(pred), mesh).item() - expected) < 1e-9
+    assert abs(float(loss_edge(ad.constant(pred), mesh).data) - expected) < 1e-9
 
 
 # ---- contrastive skinning ----------------------------------------------
@@ -155,7 +151,7 @@ def test_skin_loss_pairs_empty_without_confident_vertices():
     gt = np.full((6, 4), 0.25)
     i, j, sign = skin_loss_pairs(gt, 32, np.random.default_rng(1))
     assert i.size == j.size == sign.size == 0
-    assert loss_skin(ad.constant(gt), gt).item() == 0.0
+    assert float(loss_skin(ad.constant(gt), gt).data) == 0.0
 
 
 def test_loss_skin_zero_when_same_part_rows_identical():
@@ -170,7 +166,7 @@ def test_loss_skin_zero_when_same_part_rows_identical():
     same = sign > 0
     # same-part rows are identical so their KL contribution is exactly 0;
     # cross-part pairs contribute the negated (clamped) KL
-    val = loss_skin(ad.constant(pred), gt, n_pairs=500, rng_seed=2).item()
+    val = float(loss_skin(ad.constant(pred), gt, n_pairs=500, rng_seed=2).data)
     kl = np.zeros(500)
     for p in range(500):
         wi, wj = pred[i[p]], pred[j[p]]
@@ -194,7 +190,7 @@ def test_loss_skin_matches_scalar_oracle():
         kl = (wi * (np.log(wi) - np.log(wj))).sum()
         expected += max(sign[p] * kl, -5.0)
     expected /= i.size
-    val = loss_skin(ad.constant(pred), gt, n_pairs=100, rng_seed=9).item()
+    val = float(loss_skin(ad.constant(pred), gt, n_pairs=100, rng_seed=9).data)
     assert abs(val - expected) < 1e-9
 
 
@@ -207,9 +203,9 @@ def test_loss_cycle_near_zero_for_rest_pose_at_identity_init(small_char, tiny_co
     fwd = transfer_pose_graph(encode_source_frame(src.ctx.norm_vertices, src, params), tgt,
                               params)
     out = loss_cycle(params, fwd, w_pseudo=0.3)
-    assert out.total.item() < 1e-6
-    assert out.cycle_term.item() < 1e-6
-    assert out.pseudo_term.item() < 1e-6
+    assert float(out.total.data) < 1e-6
+    assert float(out.cycle_term.data) < 1e-6
+    assert float(out.pseudo_term.data) < 1e-6
 
 
 def test_loss_cycle_recomposes_from_two_transfers(small_char, tiny_params):
@@ -225,10 +221,10 @@ def test_loss_cycle_recomposes_from_two_transfers(small_char, tiny_params):
     # rebuild both terms from the graphs the loss returns
     cyc = np.abs(out.backward.deformed.data - posed_norm).mean()
     pseudo = np.abs(out.forward.deformed.data - out.pseudo_target).mean()
-    assert abs(out.cycle_term.item() - cyc) < 1e-9
-    assert abs(out.pseudo_term.item() - pseudo) < 1e-9
-    assert abs(out.total.item() - (cyc + 0.3 * pseudo)) < 1e-9
-    assert out.total.item() >= 0.0
+    assert abs(float(out.cycle_term.data) - cyc) < 1e-9
+    assert abs(float(out.pseudo_term.data) - pseudo) < 1e-9
+    assert abs(float(out.total.data) - (cyc + 0.3 * pseudo)) < 1e-9
+    assert float(out.total.data) >= 0.0
 
 
 def test_loss_cycle_pseudo_disabled(small_char, tiny_params):
@@ -240,9 +236,9 @@ def test_loss_cycle_pseudo_disabled(small_char, tiny_params):
     fwd = transfer_pose_graph(encode_source_frame(posed_norm, src, tiny_params), src,
                               tiny_params)
     out = loss_cycle(tiny_params, fwd, w_pseudo=0.0)
-    assert out.pseudo_term.item() == 0.0
+    assert float(out.pseudo_term.data) == 0.0
     assert out.pseudo_target.size == 0  # not computed
-    assert abs(out.total.item() - out.cycle_term.item()) < 1e-12
+    assert abs(float(out.total.data) - float(out.cycle_term.data)) < 1e-12
 
 
 def test_loss_cycle_backward_reuses_forward_skinnings(small_char, tiny_params):
@@ -263,17 +259,17 @@ def test_total_loss_weighted_sum():
     comps = {"rec": ad.Tensor(2.0), "trans": ad.Tensor(3.0),
              "skin": ad.Tensor(1.0), "edge": ad.Tensor(4.0)}
     w = {"rec": 1.0, "trans": 0.5, "cyc": 1.0, "skin": 0.1, "edge": 0.25}
-    assert abs(total_loss(comps, w).item() - (2.0 + 1.5 + 0.1 + 1.0)) < 1e-12
+    assert abs(float(total_loss(comps, w).data) - (2.0 + 1.5 + 0.1 + 1.0)) < 1e-12
 
 
 def test_total_loss_missing_components_count_as_zero():
     comps = {"cyc": ad.Tensor(5.0)}
     w = {"rec": 1.0, "trans": 1.0, "cyc": 0.5, "skin": 0.1, "edge": 0.5}
-    assert total_loss(comps, w).item() == 2.5
+    assert float(total_loss(comps, w).data) == 2.5
 
 
 def test_total_loss_halved_weight_halves_term():
     comps = {"rec": ad.Tensor(4.0)}
-    full = total_loss(comps, {"rec": 1.0}).item()
-    half = total_loss(comps, {"rec": 0.5}).item()
+    full = float(total_loss(comps, {"rec": 1.0}).data)
+    half = float(total_loss(comps, {"rec": 0.5}).data)
     assert abs(half - 0.5 * full) < 1e-12

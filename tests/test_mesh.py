@@ -48,7 +48,7 @@ def test_load_obj_minimal(tmp_path):
     p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
     m = load_obj(p)
     assert m.n_vertices == 3
-    assert m.n_faces == 1
+    assert m.faces.shape[0] == 1
     assert m.faces.tolist() == [[0, 1, 2]]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posetransfer import articulation
 from posetransfer import autodiff as ad
 from posetransfer.articulation import RigidTransform, lbs_deform, part_centers
 from posetransfer.mesh import Mesh
@@ -24,7 +25,7 @@ from posetransfer.networks import (
 )
 from posetransfer.synth import CharacterSpec, generate_character, pose_character, sample_pose
 
-from conftest import random_rotation
+from conftest import random_rotation, random_rows, rest_rows
 
 
 def _permuted(mesh, perm):
@@ -132,27 +133,25 @@ def test_decoder_zero_output_reproduces_source_transforms(tiny_params):
     rng = np.random.default_rng(5)
     k = tiny_params.config.k_parts
     c = tiny_params.config.latent
-    t_source = [[RigidTransform(rotation=random_rotation(rng),
-                                translation=rng.normal(size=3)) for _ in range(k)]
-                for _ in range(2)]
+    t_source = np.stack([random_rows(rng, k) for _ in range(2)])
     w, b = tiny_params["dec.fc1.w"], tiny_params["dec.fc1.b"]
     w.data[:] = 0.0
     b.data[:] = 0.0
     rots, trans, flat = decode_transforms(
         [ad.constant(rng.normal(size=(k, c))) for _ in range(3)],
         [ad.constant(rng.normal(size=(k, c))) for _ in range(2)],
-        np.array([[tf.flat() for tf in frame] for frame in t_source]), tiny_params)
-    expected = [tf for frame in t_source for _ in range(3) for tf in frame]
-    assert np.abs(rots.data - [tf.rotation for tf in expected]).max() < 1e-12
-    assert np.abs(trans.data - [tf.translation for tf in expected]).max() < 1e-12
-    assert np.abs(flat.data - [tf.flat() for tf in expected]).max() < 1e-12
+        t_source, tiny_params)
+    expected = np.concatenate([frame for frame in t_source for _ in range(3)])
+    assert np.abs(rots.data - expected[:, :9].reshape(-1, 3, 3)).max() < 1e-12
+    assert np.abs(trans.data - expected[:, 9:]).max() < 1e-12
+    assert np.abs(flat.data - expected).max() < 1e-12
 
 
 def test_decoded_rotations_valid_for_random_params(tiny_params):
     rng = np.random.default_rng(6)
     k = tiny_params.config.k_parts
     c = tiny_params.config.latent
-    t_src = np.stack([RigidTransform.identity(rng.normal(size=3)).flat() for _ in range(k)])
+    t_src = rest_rows(np.stack([rng.normal(size=3) for _ in range(k)]))
     rots, _, _ = decode_transforms(
         [ad.constant(rng.normal(size=(k, c)))], [ad.constant(rng.normal(size=(k, c)))],
         t_src[None], tiny_params)
@@ -168,8 +167,7 @@ def test_factored_first_layer_matches_the_concatenated_input(tiny_params):
     p = tiny_params
     k, c = p.config.k_parts, p.config.latent
     z_t, z_d = rng.normal(size=(k, c)), rng.normal(size=(k, c))
-    t_src = np.stack([RigidTransform(random_rotation(rng), rng.normal(size=3)).flat()
-                      for _ in range(k)])
+    t_src = random_rows(rng, k)
     h = np.concatenate([z_t, z_d, t_src], axis=1) @ p["dec.fc0.w"].data + p["dec.fc0.b"].data
     for i in range(1, len(p.config.dec_hidden) + 1):
         h = np.where(h > 0.0, h, p.config.leak * h) @ p[f"dec.fc{i}.w"].data
@@ -192,7 +190,7 @@ def test_lbs_tensor_matches_lbs_deform(small_char):
     expected = lbs_deform(rest, w, [RigidTransform(rotation=r, translation=t)
                                     for r, t in zip(rotations, translations)])
     centers = centers_tensor(ad.constant(w), rest.vertices)
-    assert np.abs(centers.data - part_centers(rest, w).centers).max() < 1e-12
+    assert np.abs(centers.data - part_centers(rest, w)).max() < 1e-12
     out = lbs_tensor(rest.vertices, ad.constant(w), ad.constant(rotations),
                      ad.constant(translations), centers)
     assert np.abs(out.data - expected.vertices).max() < 1e-9
@@ -241,8 +239,7 @@ def test_frames_against_one_pair_of_encodings_match_pose_transfer(small_char, ti
         expected = pose_transfer(posed, small_char.rest, target.rest, tiny_params)
         assert np.array_equal(tgt.ctx.denormalize(graph.deformed.data),
                               expected.mesh.vertices)
-        assert np.array_equal(graph.rotations.data,
-                              [tf.rotation for tf in expected.transforms])
+        assert np.array_equal(graph.t_flat.data, expected.transforms)
 
 
 def test_frozen_params_share_arrays_and_record_no_tape(small_char, tiny_params):
@@ -271,9 +268,9 @@ def test_pose_transfer_equals_taped_run(small_char, tiny_params):
     assert np.array_equal(out.mesh.vertices, tgt.ctx.denormalize(graph.deformed.data))
     assert np.array_equal(out.w_source, src.w.data / src.w.data.sum(axis=1, keepdims=True))
     assert np.array_equal(out.w_target, tgt.w.data / tgt.w.data.sum(axis=1, keepdims=True))
-    assert np.array_equal([tf.rotation for tf in out.transforms], graph.rotations.data)
-    assert np.array_equal([tf.translation for tf in out.transforms], graph.translations.data)
-    assert np.array_equal([tf.flat() for tf in out.t_source], frame.t_stack)
+    assert np.array_equal(out.transforms[:, :9].reshape(-1, 3, 3), graph.rotations.data)
+    assert np.array_equal(out.transforms[:, 9:], graph.translations.data)
+    assert np.array_equal(out.t_source, frame.t_stack)
 
 
 def test_one_frame_decoded_onto_two_targets_matches_separate_frames(small_char, tiny_params):
@@ -319,8 +316,9 @@ def test_frames_decoded_onto_targets_in_one_pass_match_each_pair(small_char, tin
 
 
 def test_source_frame_builds_no_rigid_transform(small_char, tiny_params, monkeypatch):
-    """The analytic source transforms stay one (K, 12) array: encoding a
-    frame and decoding it validates no per-part ``RigidTransform``."""
+    """Part transforms stay (K, 12) arrays: encoding a frame, decoding it
+    and a whole ``pose_transfer`` build no per-part ``RigidTransform``,
+    and the rotations are checked once per stack."""
     posed = pose_character(small_char, sample_pose(small_char.n_joints,
                                                    np.random.default_rng(11)))
     built = []
@@ -331,9 +329,14 @@ def test_source_frame_builds_no_rigid_transform(small_char, tiny_params, monkeyp
     frame = encode_source_frame(src.ctx.normalize(posed.vertices), src, tiny_params)
     transfer_pose_graph(frame, src, tiny_params)
     assert frame.t_stack.shape == (tiny_params.config.k_parts, 12)
+    checked = []
+    check_rotations = articulation._check_rotations
+    monkeypatch.setattr(articulation, "_check_rotations",
+                        lambda r: checked.append(r.shape) or check_rotations(r))
+    out = pose_transfer(posed, small_char.rest, small_char.rest, tiny_params)
+    assert out.transforms.shape == out.t_source.shape == (tiny_params.config.k_parts, 12)
+    assert checked == [(tiny_params.config.k_parts, 3, 3)]
     assert built == []
-    pose_transfer(posed, small_char.rest, small_char.rest, tiny_params)
-    assert len(built) == 2 * tiny_params.config.k_parts  # the result's two lists
 
 
 def test_identity_pipeline_at_zero_init(small_char, tiny_config):

@@ -8,7 +8,6 @@ from posetransfer.synth import (
     PoseSpec,
     SynthError,
     character_seed,
-    expected_vertex_count,
     generate_character,
     load_dataset,
     make_dataset,
@@ -41,13 +40,20 @@ def test_different_seeds_differ():
     assert np.abs(a.rest.vertices - b.rest.vertices).max() > 1e-6
 
 
+def _chain_vertex_count(spec, n_segments):
+    """One welded chain: its rings, shared at the joints, plus two apex caps."""
+    rings = spec.rings_per_segment + (n_segments - 1) * (spec.rings_per_segment - 1)
+    return rings * spec.ring_verts + 2
+
+
 def test_vertex_count_closed_form():
     for spec in (CharacterSpec(seed=0),
                  CharacterSpec(seed=1, limb_count=2, segments_per_limb=1),
                  CharacterSpec(seed=2, ring_verts=3, rings_per_segment=2,
                                torso_segments=3)):
-        char = generate_character(spec)
-        assert char.rest.n_vertices == expected_vertex_count(spec)
+        expected = (_chain_vertex_count(spec, spec.torso_segments)
+                    + spec.limb_count * _chain_vertex_count(spec, spec.segments_per_limb))
+        assert generate_character(spec).rest.n_vertices == expected
 
 
 def test_ground_truth_skinning_is_valid():
